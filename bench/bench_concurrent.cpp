@@ -1,14 +1,12 @@
-// Multi-threaded wall-clock throughput of the broker designs
-// (google-benchmark ->Threads sweep): the pre-snapshot single-mutex broker
-// vs the lock-free snapshot broker, plus the batch publish pipeline. The
-// ISSUE-2 acceptance workload: 10,000 equality profiles, gaussian events.
+// Multi-threaded wall-clock throughput of the lock-free snapshot broker
+// (google-benchmark ->Threads sweep), single and batch publish, on the
+// reference workload: 10,000 equality profiles, gaussian events.
 //
 //   ./bench_concurrent                        # full run
 //   ./bench_concurrent --benchmark_min_time=0.01s   # CI smoke
 //
 // Aggregate items/sec across threads is the figure of merit; on a
-// multi-core host the snapshot broker's aggregate events/sec should scale
-// with cores while the mutex broker's stays flat.
+// multi-core host the aggregate events/sec should scale with cores.
 #include <benchmark/benchmark.h>
 
 #include "bench_ens_util.hpp"
@@ -23,17 +21,6 @@ EnsFixture& fixture() {
   return f;
 }
 
-void BM_MutexBrokerPublish(benchmark::State& state) {
-  EnsFixture& f = fixture();
-  std::size_t i = static_cast<std::size_t>(state.thread_index()) * 997;
-  std::uint64_t notified = 0;
-  for (auto _ : state) {
-    notified += f.mutex_broker->publish(f.events[i++ & 4095]);
-    benchmark::DoNotOptimize(notified);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 void BM_SnapshotBrokerPublish(benchmark::State& state) {
   EnsFixture& f = fixture();
   std::size_t i = static_cast<std::size_t>(state.thread_index()) * 997;
@@ -42,6 +29,7 @@ void BM_SnapshotBrokerPublish(benchmark::State& state) {
     notified += f.snapshot_broker->publish(f.events[i++ & 4095]).notified;
     benchmark::DoNotOptimize(notified);
   }
+  f.collect_deliveries();
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -55,14 +43,13 @@ void BM_SnapshotBrokerPublishBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(f.snapshot_broker->publish_batch(events));
     i += batch;
   }
+  f.collect_deliveries();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));
 }
 
 }  // namespace
 
-BENCHMARK(BM_MutexBrokerPublish)->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
 BENCHMARK(BM_SnapshotBrokerPublish)->Threads(1)->Threads(2)->Threads(4)
     ->Threads(8)->UseRealTime();
 BENCHMARK(BM_SnapshotBrokerPublishBatch)->Arg(256)->Threads(1)->Threads(4)

@@ -1,70 +1,38 @@
-// Shared fixture for the concurrency benches: the ISSUE-2 reference
-// workload (10,000 equality profiles over a 3-attribute schema, gaussian
-// event feed) served by (a) the snapshot-based lock-free Broker and (b) a
-// faithful reconstruction of the pre-snapshot single-mutex broker, so the
-// scaling comparison measures exactly the change in concurrency design.
+// Shared fixture for the concurrency benches: the reference workload
+// (10,000 equality profiles over a 3-attribute schema, gaussian event feed)
+// served by the snapshot-based lock-free Broker.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
-#include "core/filter_engine.hpp"
 #include "dist/sampler.hpp"
 #include "ens/broker.hpp"
 #include "sim/workload.hpp"
 
 namespace genas::bench {
 
-/// The old broker's publish path, verbatim semantics: every publish takes
-/// one global mutex, matches through the engine (heap-copying the matched
-/// set), copies the callbacks under the lock, and only delivers outside it.
-class MutexSerializedBroker {
- public:
-  explicit MutexSerializedBroker(SchemaPtr schema)
-      : engine_(std::move(schema)) {}
-
-  void subscribe(Profile profile, NotificationCallback callback) {
-    const std::scoped_lock lock(mutex_);
-    const ProfileId id = engine_.subscribe(std::move(profile));
-    if (callbacks_.size() <= id) callbacks_.resize(id + 1);
-    callbacks_[id] = std::move(callback);
-  }
-
-  std::size_t publish(const Event& event) {
-    std::vector<std::pair<NotificationCallback, Notification>> deliveries;
-    {
-      const std::scoped_lock lock(mutex_);
-      const EngineMatch outcome = engine_.match(event);
-      deliveries.reserve(outcome.matched.size());
-      for (const ProfileId profile : outcome.matched) {
-        deliveries.emplace_back(callbacks_[profile],
-                                Notification{profile, event});
-      }
-    }
-    for (const auto& [callback, notification] : deliveries) {
-      callback(notification);
-    }
-    return deliveries.size();
-  }
-
- private:
-  std::mutex mutex_;
-  FilterEngine engine_;
-  std::vector<NotificationCallback> callbacks_;
-};
-
 /// The 10,000-profile equality workload of bench_throughput, wired into
-/// both broker designs with a delivery-counting callback.
+/// the broker with a delivery-counting callback.
 struct EnsFixture {
   SchemaPtr schema;
   JointDistribution joint;
   std::vector<Event> events;
   std::unique_ptr<Broker> snapshot_broker;
-  std::unique_ptr<MutexSerializedBroker> mutex_broker;
+  /// Deliveries summed over publisher threads. The callback bumps a
+  /// thread-local count (callbacks run on the publishing thread), so
+  /// publishers never contend on a shared cache line per delivery; each
+  /// publisher thread adds its count here once, via collect_deliveries(),
+  /// when it finishes.
   std::atomic<std::uint64_t> delivered{0};
+
+  void collect_deliveries() {
+    delivered.fetch_add(std::exchange(thread_deliveries(), 0),
+                        std::memory_order_relaxed);
+  }
 
   explicit EnsFixture(std::size_t profile_count = 10000,
                       std::size_t event_count = 4096)
@@ -83,22 +51,26 @@ struct EnsFixture {
         schema, make_profile_distributions(schema, {"gauss"}), options);
 
     snapshot_broker = std::make_unique<Broker>(schema);
-    mutex_broker = std::make_unique<MutexSerializedBroker>(schema);
-    const auto callback = [this](const Notification&) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
-    };
     for (const ProfileId id : profiles.active_ids()) {
-      snapshot_broker->subscribe(profiles.profile(id), callback);
-      mutex_broker->subscribe(profiles.profile(id), callback);
+      snapshot_broker->subscribe(profiles.profile(id), [](const Notification&) {
+        ++thread_deliveries();
+      });
     }
 
     EventSampler sampler(joint, 22);
     events = sampler.sample_batch(event_count);
 
-    // Prime both trees so the (expensive, one-off) 10k-profile build stays
+    // Prime the tree so the (expensive, one-off) 10k-profile build stays
     // out of the timed region.
     snapshot_broker->publish(events[0]);
-    mutex_broker->publish(events[0]);
+    collect_deliveries();
+  }
+
+ private:
+  /// This thread's uncollected deliveries (one fixture per process).
+  static std::uint64_t& thread_deliveries() {
+    thread_local std::uint64_t count = 0;
+    return count;
   }
 };
 

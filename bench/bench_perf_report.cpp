@@ -1,15 +1,17 @@
-// Standalone perf report: measures the ISSUE-2 acceptance numbers and emits
-// them as JSON (BENCH_throughput.json), seeding the perf trajectory.
+// Standalone perf report: measures the broker and matcher throughput
+// numbers and emits them as JSON (BENCH_throughput.json), seeding the perf
+// trajectory.
 //
 //   ./bench_perf_report [output.json] [--quick]
 //
 // Measured on the 10,000-equality-profile workload:
-//   * matcher_node_events_per_sec / matcher_flat_events_per_sec — raw
-//     single-thread match throughput of the node-form vs flat-form tree
-//     (the flat/node ratio is the cache-layout win);
-//   * broker "mutex" vs "snapshot" aggregate events/sec at 1 and 4
-//     publisher threads (the concurrency win — meaningful only when the
-//     host grants ≥4 hardware threads, see hardware_threads);
+//   * matcher_flat_events_per_sec / matcher_flat_span_events_per_sec — raw
+//     single-thread match throughput of the flat tree through the Matcher
+//     interface (owned result copy) and directly (no copy);
+//   * broker_snapshot_{1,4}thread_events_per_sec — aggregate publish
+//     events/sec at 1 and 4 publisher threads (the 4-thread figure is
+//     meaningful only when the host grants ≥4 hardware threads, see
+//     hardware_threads);
 //   * snapshot_batch256_events_per_sec — the amortized batch pipeline;
 //   * delivery_latency_p50_ns / p99 — publish-to-callback latency from the
 //     broker's trace histogram (trace period 1 for the measurement window);
@@ -54,10 +56,10 @@ double measure_rate(double budget, const Body& body) {
   return static_cast<double>(iterations) / elapsed;
 }
 
-/// Aggregate events/sec of `threads` publishers calling `publish(i)`.
-template <typename Publish>
-double measure_threaded_rate(int threads, double budget,
-                             const Publish& publish) {
+/// Aggregate events/sec of `threads` publishers on the fixture's broker.
+double measure_threaded_rate(bench::EnsFixture& fixture, int threads,
+                             double budget) {
+  const std::size_t mask = fixture.events.size() - 1;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total{0};
   std::vector<std::thread> workers;
@@ -68,10 +70,13 @@ double measure_threaded_rate(int threads, double budget,
       std::size_t i = static_cast<std::size_t>(t) * 997;
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        for (int k = 0; k < 256; ++k) publish(i++);
+        for (int k = 0; k < 256; ++k) {
+          fixture.snapshot_broker->publish(fixture.events[i++ & mask]);
+        }
         local += 256;
       }
       total.fetch_add(local, std::memory_order_relaxed);
+      fixture.collect_deliveries();
     });
   }
   std::this_thread::sleep_for(std::chrono::duration<double>(budget));
@@ -104,7 +109,7 @@ int main(int argc, char** argv) {
   bench::EnsFixture fixture;
   const std::size_t mask = fixture.events.size() - 1;
 
-  // Raw matcher throughput: node layout vs flat layout, single thread.
+  // Raw matcher throughput, single thread.
   OrderingPolicy policy;
   policy.strategy = SearchStrategy::kBinary;
   ProfileWorkloadOptions options;
@@ -117,15 +122,9 @@ int main(int argc, char** argv) {
       options);
   TreeMatcher matcher(profiles, policy, fixture.joint);
 
-  matcher.use_flat_layout(false);
-  const double node_rate = measure_rate(budget, [&](std::size_t i) {
-    const MatchOutcome outcome = matcher.match(fixture.events[i & mask]);
-    if (outcome.operations == UINT64_MAX) std::abort();  // keep it live
-  });
-  matcher.use_flat_layout(true);
   const double flat_rate = measure_rate(budget, [&](std::size_t i) {
     const MatchOutcome outcome = matcher.match(fixture.events[i & mask]);
-    if (outcome.operations == UINT64_MAX) std::abort();
+    if (outcome.operations == UINT64_MAX) std::abort();  // keep it live
   });
   // Allocation-free variant: match the flat tree directly, as the broker's
   // lock-free publish path does (no MatchOutcome heap copy).
@@ -135,23 +134,14 @@ int main(int argc, char** argv) {
     if (match.operations == UINT64_MAX) std::abort();
   });
 
-  const auto publish_mutex = [&](std::size_t i) {
-    fixture.mutex_broker->publish(fixture.events[i & mask]);
-  };
-  const auto publish_snapshot = [&](std::size_t i) {
-    fixture.snapshot_broker->publish(fixture.events[i & mask]);
-  };
-  const double mutex_1t = measure_threaded_rate(1, budget, publish_mutex);
-  const double mutex_4t = measure_threaded_rate(4, budget, publish_mutex);
-  const double snapshot_1t = measure_threaded_rate(1, budget, publish_snapshot);
-  const double snapshot_4t = measure_threaded_rate(4, budget, publish_snapshot);
+  const double snapshot_1t = measure_threaded_rate(fixture, 1, budget);
+  const double snapshot_4t = measure_threaded_rate(fixture, 4, budget);
 
   // Observability overhead: the same single-thread loop with trace sampling
   // off, against the headline run's default period. Positive = sampling
   // cost; small negative values are run-to-run noise.
   fixture.snapshot_broker->set_trace_period(0);
-  const double snapshot_1t_untraced =
-      measure_threaded_rate(1, budget, publish_snapshot);
+  const double snapshot_1t_untraced = measure_threaded_rate(fixture, 1, budget);
   const double obs_overhead_pct =
       snapshot_1t_untraced > 0
           ? 100.0 * (1.0 - snapshot_1t / snapshot_1t_untraced)
@@ -160,7 +150,7 @@ int main(int argc, char** argv) {
   // Delivery latency quantiles: trace every publish for one window, then
   // read the publish-to-callback histogram.
   fixture.snapshot_broker->set_trace_period(1);
-  measure_threaded_rate(1, budget, publish_snapshot);
+  measure_threaded_rate(fixture, 1, budget);
   double latency_p50 = 0.0;
   double latency_p99 = 0.0;
   {
@@ -183,6 +173,15 @@ int main(int argc, char** argv) {
             {fixture.events.data() + begin, kBatch});
       });
 
+  // The per-thread delivery counts, summed: a broken fixture that delivers
+  // nothing would report meaningless rates.
+  const std::uint64_t delivered = fixture.delivered.load();
+  std::cerr << "deliveries counted: " << delivered << "\n";
+  if (delivered == 0) {
+    std::cerr << "fixture delivered nothing\n";
+    return 1;
+  }
+
   std::ofstream os(output);
   os << "{\n";
   os << "  \"workload\": \"10000 equality profiles, 3x[0,99] schema, "
@@ -194,16 +193,10 @@ int main(int argc, char** argv) {
        << " hardware thread(s); multi-thread ratios are not meaningful "
           "here — see README 'Performance harness'\",\n";
   }
-  put(os, "matcher_node_events_per_sec", node_rate);
   put(os, "matcher_flat_events_per_sec", flat_rate);
   put(os, "matcher_flat_span_events_per_sec", flat_span_rate);
-  put(os, "flat_over_node_speedup", node_rate > 0 ? flat_rate / node_rate : 0);
-  put(os, "broker_mutex_1thread_events_per_sec", mutex_1t);
-  put(os, "broker_mutex_4thread_events_per_sec", mutex_4t);
   put(os, "broker_snapshot_1thread_events_per_sec", snapshot_1t);
   put(os, "broker_snapshot_4thread_events_per_sec", snapshot_4t);
-  put(os, "snapshot_over_mutex_4thread_speedup",
-      mutex_4t > 0 ? snapshot_4t / mutex_4t : 0);
   put(os, "snapshot_batch256_events_per_sec", batch_rate);
   put(os, "delivery_latency_p50_ns", latency_p50);
   put(os, "delivery_latency_p99_ns", latency_p99);

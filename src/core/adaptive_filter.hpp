@@ -57,6 +57,12 @@ class AdaptiveController {
   /// Records that the tree was rebuilt against `baseline`.
   void mark_rebuilt(const JointDistribution& baseline);
 
+  /// Distribution the current tree was built for; empty before the first
+  /// mark_rebuilt().
+  const std::optional<JointDistribution>& baseline() const noexcept {
+    return baseline_;
+  }
+
   std::uint64_t observations() const noexcept { return observations_; }
   std::uint64_t rebuilds() const noexcept { return rebuilds_; }
   const AdaptiveOptions& options() const noexcept { return options_; }

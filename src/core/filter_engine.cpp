@@ -51,13 +51,10 @@ JointDistribution FilterEngine::effective_distribution() const {
 
 void FilterEngine::rebuild_locked(const JointDistribution& distribution) {
   // Build off to the side, then swap the snapshot pointer in one shot: a
-  // caller holding the previous snapshot keeps matching against it.
-  auto tree = std::make_shared<const ProfileTree>(
-      build_tree(profiles_, options_.policy, distribution));
-  auto flat = std::make_shared<const FlatProfileTree>(
-      FlatProfileTree::compile(*tree));
-  snapshot_ = std::make_shared<const MatchSnapshot>(
-      MatchSnapshot{std::move(tree), std::move(flat)});
+  // caller holding the previous snapshot keeps matching against it. The
+  // node-form tree is only the compiler's input and dies here.
+  snapshot_ = std::make_shared<const FlatProfileTree>(FlatProfileTree::compile(
+      build_tree(profiles_, options_.policy, distribution)));
   ++rebuild_count_;
   if (adaptive_.has_value()) adaptive_->mark_rebuilt(distribution);
 }
@@ -66,29 +63,26 @@ void FilterEngine::rebuild() { rebuild_locked(effective_distribution()); }
 
 void FilterEngine::ensure_fresh() {
   if (snapshot_ == nullptr ||
-      snapshot_->tree->source_version() != profiles_.version()) {
+      snapshot_->source_version() != profiles_.version()) {
     rebuild();
   }
 }
 
-const ProfileTree& FilterEngine::tree() {
-  ensure_fresh();
-  return *snapshot_->tree;
-}
-
-std::shared_ptr<const MatchSnapshot> FilterEngine::snapshot() {
+std::shared_ptr<const FlatProfileTree> FilterEngine::snapshot() {
   ensure_fresh();
   return snapshot_;
 }
 
-bool FilterEngine::observe_adaptive(const Event& event) {
+bool FilterEngine::observe(std::span<const Event> events) {
   if (!adaptive_.has_value()) return false;
-  adaptive_->observe(event);
-  if (adaptive_->should_rebuild()) {
-    rebuild_locked(adaptive_->estimate());
-    return true;
+  for (const Event& event : events) {
+    GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
+                  "event schema differs from engine schema");
+    adaptive_->observe(event);
   }
-  return false;
+  if (!adaptive_->should_rebuild()) return false;
+  rebuild_locked(adaptive_->estimate());
+  return true;
 }
 
 EngineMatch FilterEngine::match(const Event& event) {
@@ -97,54 +91,10 @@ EngineMatch FilterEngine::match(const Event& event) {
   ensure_fresh();
 
   EngineMatch outcome;
-  const FlatMatch result = snapshot_->flat->match(event);
+  const FlatMatch result = snapshot_->match(event);
   outcome.operations = result.operations;
   outcome.matched.assign(result.matched, result.matched + result.matched_count);
-  ++events_matched_;
-
-  outcome.rebuilt = observe_adaptive(event);
-  return outcome;
-}
-
-EngineBatchMatch FilterEngine::match_batch(std::span<const Event> events,
-                                           std::vector<ProfileId>& matched,
-                                           std::vector<std::size_t>& offsets) {
-  matched.clear();
-  offsets.clear();
-  offsets.reserve(events.size() + 1);
-  offsets.push_back(0);
-
-  EngineBatchMatch outcome;
-  if (events.empty()) return outcome;
-
-  for (const Event& event : events) {
-    GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
-                  "event schema differs from engine schema");
-  }
-  ensure_fresh();
-
-  // One snapshot serves the whole batch; the shared_ptr keeps the posting
-  // slabs alive even if the deferred adaptive rebuild below swaps snapshot_.
-  const std::shared_ptr<const MatchSnapshot> snapshot = snapshot_;
-  for (const Event& event : events) {
-    const FlatMatch result = snapshot->flat->match(event);
-    outcome.operations += result.operations;
-    if (result.matched_count > 0) ++outcome.matched_events;
-    matched.insert(matched.end(), result.matched,
-                   result.matched + result.matched_count);
-    offsets.push_back(matched.size());
-  }
-  events_matched_ += events.size();
-
-  // The adaptive controller observes every event, but a drift rebuild is
-  // deferred to the batch boundary so the batch matches one consistent tree.
-  if (adaptive_.has_value()) {
-    for (const Event& event : events) adaptive_->observe(event);
-    if (adaptive_->should_rebuild()) {
-      rebuild_locked(adaptive_->estimate());
-      outcome.rebuilt = true;
-    }
-  }
+  outcome.rebuilt = observe({&event, 1});
   return outcome;
 }
 

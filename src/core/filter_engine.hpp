@@ -6,17 +6,18 @@
 // lazily — subscription changes mark the tree stale and the next match (or
 // an explicit rebuild()) refreshes it.
 //
-// Every rebuild produces an immutable MatchSnapshot: the node-form tree
-// (build / expected-cost / dump representation) plus its FlatProfileTree
-// compilation (the cache-friendly hot match path). snapshot() hands the
+// Every rebuild builds the node-form tree, compiles it into an immutable
+// FlatProfileTree, and keeps only the flat form. snapshot() hands the
 // current one out as a shared_ptr, so a caller can keep matching against a
 // consistent tree while the engine mutates and rebuilds off to the side —
-// this is what the broker's lock-free publish path is built on.
+// this is what the broker's lock-free publish path is built on. The
+// adaptive loop is a separate observe() step after matching: it feeds the
+// drift estimator and swaps in a fresh snapshot when drift demands it.
 //
 // Thread-safety: FilterEngine itself is single-threaded by design (callers
-// serialize mutations); but a MatchSnapshot, once obtained, is immutable and
-// safe to match against from any number of threads. The ENS broker
-// (src/ens/broker.hpp) layers the mutation mutex and atomic snapshot
+// serialize mutations and observe()); but a snapshot, once obtained, is
+// immutable and safe to match against from any number of threads. The ENS
+// broker (src/ens/broker.hpp) layers the mutation mutex and atomic snapshot
 // publication on top.
 #pragma once
 
@@ -31,7 +32,6 @@
 #include "core/ordering_policy.hpp"
 #include "profile/parser.hpp"
 #include "tree/flat_tree.hpp"
-#include "tree/profile_tree.hpp"
 
 namespace genas {
 
@@ -50,21 +50,6 @@ struct EngineMatch {
   std::vector<ProfileId> matched;  ///< owned copy, safe across rebuilds
   std::uint64_t operations = 0;
   bool rebuilt = false;  ///< this match triggered an adaptive rebuild
-};
-
-/// Aggregate outcome of matching a batch of events (match_batch).
-struct EngineBatchMatch {
-  std::size_t matched_events = 0;  ///< events that matched ≥ 1 profile
-  std::uint64_t operations = 0;
-  bool rebuilt = false;  ///< the batch triggered an adaptive rebuild
-};
-
-/// Immutable (tree, flat tree) pair produced by one rebuild. Matching
-/// against it is thread-safe and allocation-free; `flat->match()` results
-/// point into the snapshot, so hold the shared_ptr while using them.
-struct MatchSnapshot {
-  std::shared_ptr<const ProfileTree> tree;
-  std::shared_ptr<const FlatProfileTree> flat;
 };
 
 /// High-level distribution-based filter (the paper's "adaptive filter
@@ -86,19 +71,14 @@ class FilterEngine {
   /// subranges of heavier profiles earlier). The tree refreshes lazily.
   void set_priority(ProfileId id, double weight);
 
-  /// Matches an event: refreshes a stale tree, feeds the adaptive
-  /// controller, and rebuilds when drift demands it.
+  /// Matches an event against the current snapshot (refreshing a stale
+  /// tree first), then observe()s it.
   EngineMatch match(const Event& event);
 
-  /// Matches a batch of events against one snapshot acquisition. Matched
-  /// profile ids are appended CSR-style into caller-owned buffers that are
-  /// cleared and reused across calls (no per-event allocation once their
-  /// capacity is warm): after the call, the ids matched by events[i] are
-  /// matched[offsets[i] .. offsets[i+1]). The adaptive controller observes
-  /// every event, but a drift rebuild is deferred to the end of the batch.
-  EngineBatchMatch match_batch(std::span<const Event> events,
-                               std::vector<ProfileId>& matched,
-                               std::vector<std::size_t>& offsets);
+  /// The adaptive loop's step: feeds every event to the adaptive controller
+  /// and rebuilds against its estimate when drift demands it. Returns true
+  /// when it rebuilt; a no-op returning false when the loop is disabled.
+  bool observe(std::span<const Event> events);
 
   /// Forces an immediate rebuild against the best-known distribution.
   void rebuild();
@@ -111,41 +91,30 @@ class FilterEngine {
   /// estimate when available, else the prior, else uniform.
   JointDistribution effective_distribution() const;
 
-  /// Current tree (rebuilds first if stale).
-  const ProfileTree& tree();
-
-  /// Current immutable snapshot (rebuilds first if stale). Never null. The
+  /// Current immutable tree (rebuilds first if stale). Never null. The
   /// caller may match against it concurrently with engine mutations; it
-  /// simply keeps seeing the profile set as of this call.
-  std::shared_ptr<const MatchSnapshot> snapshot();
+  /// simply keeps seeing the profile set as of this call. FlatMatch results
+  /// point into the tree, so hold the shared_ptr while using them.
+  std::shared_ptr<const FlatProfileTree> snapshot();
 
   std::uint64_t rebuild_count() const noexcept { return rebuild_count_; }
-  std::uint64_t events_matched() const noexcept { return events_matched_; }
 
-  /// Adaptive controller, when enabled (for diagnostics).
+  /// Adaptive controller, when enabled; null otherwise. Whether it exists
+  /// is fixed at construction.
   const AdaptiveController* adaptive() const noexcept {
     return adaptive_ ? &*adaptive_ : nullptr;
   }
 
-  /// True when the adaptive loop is enabled — matching then mutates the
-  /// drift estimator, so callers that share the engine across threads must
-  /// serialize match() as well (the broker checks exactly this).
-  bool adaptive_enabled() const noexcept { return adaptive_.has_value(); }
-
  private:
   void ensure_fresh();
   void rebuild_locked(const JointDistribution& distribution);
-  /// Feeds one event to the adaptive controller; returns true when drift
-  /// triggered a rebuild.
-  bool observe_adaptive(const Event& event);
 
   SchemaPtr schema_;
   EngineOptions options_;
   ProfileSet profiles_;
   std::optional<AdaptiveController> adaptive_;
-  std::shared_ptr<const MatchSnapshot> snapshot_;
+  std::shared_ptr<const FlatProfileTree> snapshot_;
   std::uint64_t rebuild_count_ = 0;
-  std::uint64_t events_matched_ = 0;
 };
 
 }  // namespace genas

@@ -106,7 +106,7 @@ void Broker::register_metrics() {
                                     latency,
                                     "sampled publish->deliver latency");
   rebuild_pause_ = reg.histogram("genas_broker_rebuild_pause_ns", latency,
-                                 "snapshot rebuild pause duration");
+                                 "snapshot and drift rebuild pause duration");
   composite_firings_ = reg.counter("genas_composite_firings_total",
                                    "composite subscriptions fired");
   composite_dedup_drops_ =
@@ -529,7 +529,7 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
     auto fresh = std::make_shared<Snapshot>();
     fresh->version = current;
     const std::uint64_t builds_before = engine_.rebuild_count();
-    fresh->match = engine_.snapshot();
+    fresh->tree = engine_.snapshot();
     if (rebuilt != nullptr && engine_.rebuild_count() != builds_before) {
       *rebuilt = true;
     }
@@ -555,15 +555,21 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
   return slot->snapshot;
 }
 
+bool Broker::observe(std::span<const Event> events) {
+  const std::scoped_lock lock(mutex_);
+  // A drift rebuild stalls every other publisher's observe step, so it is
+  // timed into the same pause histogram as a snapshot rebuild.
+  const std::uint64_t pause_start = obs::now_ns();
+  if (!engine_.observe(events)) return false;
+  rebuild_pause_.observe(obs::now_ns() - pause_start);
+  adaptive_rebuilds_.add(1);
+  version_.fetch_add(1, std::memory_order_release);
+  return true;
+}
+
 PublishResult Broker::publish(const Event& event) {
   GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
                 "event schema differs from broker schema");
-  if (engine_.adaptive_enabled()) {
-    // Matching mutates the drift estimator, so route through the serialized
-    // batch pipeline (one lock, thread-local scratch, drain outside).
-    const BatchPublishResult batch = publish_batch({&event, 1});
-    return PublishResult{batch.notified, batch.operations, batch.rebuilt};
-  }
 
   // Sampled event-path trace: every Nth publish per thread stamps t0 and
   // records publish->match and publish->deliver latency.
@@ -574,7 +580,7 @@ PublishResult Broker::publish(const Event& event) {
   PublishResult result;
   const std::shared_ptr<const Snapshot> snapshot =
       acquire_snapshot(&result.rebuilt);
-  const FlatMatch match = snapshot->match->flat->match(event);
+  const FlatMatch match = snapshot->tree->match(event);
   result.operations = match.operations;
   if (traced) match_latency_.observe(obs::now_ns() - trace_start);
 
@@ -601,6 +607,10 @@ PublishResult Broker::publish(const Event& event) {
   return_delivery_scratch(std::move(deliveries));
   for (const auto& hook : snapshot->drain_hooks) (*hook)();
   if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
+  // After the drain, so notifications never wait behind a drift rebuild.
+  if (engine_.adaptive() != nullptr && observe({&event, 1})) {
+    result.rebuilt = true;
+  }
   return result;
 }
 
@@ -646,78 +656,21 @@ BatchPublishResult Broker::publish_batch_impl(
   const bool traced = trace_.sample(trace_countdown);
   const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
 
-  std::vector<Delivery> deliveries = take_delivery_scratch();
-
-  // Keeps callback objects alive across the drain even if a re-entrant
-  // unsubscribe from a callback erases their table entries mid-pass.
-  std::vector<std::shared_ptr<const NotificationCallback>> keepalive;
-
   // Held at function scope: the drain below dereferences raw pointers into
   // the snapshot's route table, and a re-entrant publish from a callback
   // would otherwise replace the only other owner (the thread-local cache).
-  std::shared_ptr<const Snapshot> snapshot;
-
-  std::vector<std::shared_ptr<const NotificationCallback>> sink_storage;
-  const std::vector<std::shared_ptr<const NotificationCallback>>* sinks =
-      &sink_storage;
-
-  std::vector<std::shared_ptr<const DrainHook>> hook_storage;
-  const std::vector<std::shared_ptr<const DrainHook>>* drain_hooks =
-      &hook_storage;
-
-  if (engine_.adaptive_enabled()) {
-    // Serialized matching (the adaptive estimator mutates per event), but
-    // one lock acquisition for the whole batch and one drain pass after.
-    // CSR scratch lives in thread-local storage (same move-out idiom as the
-    // delivery buffer) so steady-state batches allocate nothing here.
-    static thread_local std::vector<ProfileId> matched_scratch;
-    static thread_local std::vector<std::size_t> offsets_scratch;
-    std::vector<ProfileId> matched = std::move(matched_scratch);
-    std::vector<std::size_t> offsets = std::move(offsets_scratch);
-    {
-      const std::scoped_lock lock(mutex_);
-      sink_storage.reserve(sinks_.size());
-      for (const SinkEntry& entry : sinks_) {
-        sink_storage.push_back(entry.callback);
-      }
-      hook_storage.reserve(drain_hooks_.size());
-      for (const DrainHookEntry& entry : drain_hooks_) {
-        hook_storage.push_back(entry.hook);
-      }
-      const EngineBatchMatch outcome =
-          engine_.match_batch(events, matched, offsets);
-      result.operations = outcome.operations;
-      result.matched_events = outcome.matched_events;
-      result.rebuilt = outcome.rebuilt;
-      if (outcome.rebuilt) adaptive_rebuilds_.add(1);
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-          const auto sub_it = by_profile_.find(matched[k]);
-          if (sub_it == by_profile_.end()) continue;
-          keepalive.push_back(subscriptions_.at(sub_it->second).callback);
-          deliveries.push_back(
-              Delivery{keepalive.back().get(), sub_it->second, i});
-        }
-      }
-    }
-    matched.clear();
-    offsets.clear();
-    matched_scratch = std::move(matched);
-    offsets_scratch = std::move(offsets);
-  } else {
-    snapshot = acquire_snapshot(&result.rebuilt);
-    sinks = &snapshot->sinks;
-    drain_hooks = &snapshot->drain_hooks;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const FlatMatch match = snapshot->match->flat->match(events[i]);
-      result.operations += match.operations;
-      if (match.matched_count > 0) ++result.matched_events;
-      for (const ProfileId profile : match.span()) {
-        const Route& route = snapshot->routes[profile];
-        if (route.callback == nullptr) continue;  // racing unsubscribe
-        deliveries.push_back(
-            Delivery{route.callback.get(), route.subscription, i});
-      }
+  const std::shared_ptr<const Snapshot> snapshot =
+      acquire_snapshot(&result.rebuilt);
+  std::vector<Delivery> deliveries = take_delivery_scratch();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const FlatMatch match = snapshot->tree->match(events[i]);
+    result.operations += match.operations;
+    if (match.matched_count > 0) ++result.matched_events;
+    for (const ProfileId profile : match.span()) {
+      const Route& route = snapshot->routes[profile];
+      if (route.callback == nullptr) continue;  // racing unsubscribe
+      deliveries.push_back(
+          Delivery{route.callback.get(), route.subscription, i});
     }
   }
 
@@ -734,7 +687,7 @@ BatchPublishResult Broker::publish_batch_impl(
       const Notification notification{delivery.subscription,
                                       events[delivery.event_index]};
       (*delivery.callback)(notification);
-      for (const auto& sink : *sinks) (*sink)(notification);
+      for (const auto& sink : snapshot->sinks) (*sink)(notification);
     }
   } else {
     for (const Delivery& delivery : deliveries) {
@@ -744,12 +697,13 @@ BatchPublishResult Broker::publish_batch_impl(
       // re-entrant publish) for exactly this notification's callbacks.
       const TokenGuard guard(dedup_tokens[delivery.event_index]);
       (*delivery.callback)(notification);
-      for (const auto& sink : *sinks) (*sink)(notification);
+      for (const auto& sink : snapshot->sinks) (*sink)(notification);
     }
   }
   return_delivery_scratch(std::move(deliveries));
-  for (const auto& hook : *drain_hooks) (*hook)();
+  for (const auto& hook : snapshot->drain_hooks) (*hook)();
   if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
+  if (engine_.adaptive() != nullptr && observe(events)) result.rebuilt = true;
   return result;
 }
 
@@ -776,7 +730,14 @@ ProfileStatistics Broker::profile_statistics() const {
 
 std::string Broker::tree_dump() {
   const std::scoped_lock lock(mutex_);
-  return engine_.tree().dump();
+  (void)engine_.snapshot();  // refresh a stale tree first
+  // The live tree was built for the adaptive baseline when the loop is on,
+  // else for the (fixed) effective distribution.
+  const AdaptiveController* adaptive = engine_.adaptive();
+  return build_tree(engine_.profiles(), engine_.policy(),
+                    adaptive != nullptr ? *adaptive->baseline()
+                                        : engine_.effective_distribution())
+      .dump();
 }
 
 }  // namespace genas

@@ -25,9 +25,11 @@
 //     deliver one final notification to a subscription whose unsubscribe()
 //     already returned. Deliveries are never lost or duplicated for
 //     subscriptions that are stable across the publish.
-//   * When the engine's adaptive loop is enabled, matching itself mutates
-//     the drift estimator, so publish falls back to serializing matches
-//     behind the mutex (delivery still happens outside it).
+//   * The engine's adaptive loop, when enabled, runs after the lock-free
+//     match: the publish takes the mutation mutex once to observe its
+//     events, and a drift rebuild bumps the snapshot version exactly like a
+//     subscription change. Matching and delivery never wait on it, and the
+//     non-adaptive path takes no lock at all.
 #pragma once
 
 #include <atomic>
@@ -103,7 +105,8 @@ class Broker {
 
   void unsubscribe(SubscriptionId id);
 
-  /// Filters and delivers one event (lock-free unless adaptive).
+  /// Filters and delivers one event (matching is lock-free; an adaptive
+  /// broker then locks once to observe the event).
   PublishResult publish(const Event& event);
   /// Parses "a=1; b=2" and publishes.
   PublishResult publish(std::string_view event_text, Timestamp time = 0);
@@ -249,7 +252,9 @@ class Broker {
   /// Profile-side statistics (P_p) over the current subscriptions.
   ProfileStatistics profile_statistics() const;
 
-  /// Structural dump of the current profile tree (rebuilds if stale).
+  /// Structural dump of the current profile tree (rebuilds if stale). A
+  /// diagnostic: it rebuilds the node form from the profile set, the policy,
+  /// and the distribution the live tree was built for.
   std::string tree_dump();
 
  private:
@@ -273,7 +278,7 @@ class Broker {
   /// by ProfileId; a null callback marks an id with no live subscription.
   struct Snapshot {
     std::uint64_t version = 0;
-    std::shared_ptr<const MatchSnapshot> match;  // tree + flat compilation
+    std::shared_ptr<const FlatProfileTree> tree;
     std::vector<Route> routes;
     /// Broker-wide delivery observers, in installation order; empty when
     /// none are installed.
@@ -287,6 +292,11 @@ class Broker {
   /// version is current (lock-free), else refreshes — rebuilding the
   /// snapshot if stale — under the mutation mutex.
   std::shared_ptr<const Snapshot> acquire_snapshot(bool* rebuilt);
+
+  /// The adaptive loop's step after a lock-free match: feeds `events` to
+  /// the engine under mutex_ and, on a drift rebuild, bumps the snapshot
+  /// version. Returns true when it rebuilt.
+  bool observe(std::span<const Event> events);
 
   /// Shared body of both publish_batch overloads; `dedup_tokens` is empty
   /// or parallel to `events`.

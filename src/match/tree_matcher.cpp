@@ -10,24 +10,15 @@ TreeMatcher::TreeMatcher(const ProfileSet& profiles, OrderingPolicy policy,
 }
 
 void TreeMatcher::rebuild(const ProfileSet& profiles) {
-  tree_ = std::make_unique<const ProfileTree>(
-      build_tree(profiles, policy_, distribution_));
   flat_ = std::make_unique<const FlatProfileTree>(
-      FlatProfileTree::compile(*tree_));
+      FlatProfileTree::compile(build_tree(profiles, policy_, distribution_)));
 }
 
 MatchOutcome TreeMatcher::match(const Event& event) const {
   MatchOutcome outcome;
-  if (use_flat_) {
-    const FlatMatch result = flat_->match(event);
-    outcome.operations = result.operations;
-    outcome.matched.assign(result.matched,
-                           result.matched + result.matched_count);
-  } else {
-    const TreeMatch result = tree_->match(event);
-    outcome.operations = result.operations;
-    if (result.matched != nullptr) outcome.matched = *result.matched;
-  }
+  const FlatMatch result = flat_->match(event);
+  outcome.operations = result.operations;
+  outcome.matched.assign(result.matched, result.matched + result.matched_count);
   return outcome;
 }
 

@@ -1,7 +1,8 @@
 // GENAS — Matcher adapter over the profile tree.
 //
-// Wraps a ProfileTree (with any ordering policy) behind the common Matcher
-// interface so the benchmark harness and broker can swap algorithms freely.
+// Builds a profile tree (with any ordering policy), compiles it, and keeps
+// only the flat form behind the common Matcher interface, so the benchmark
+// harness and the routing tables can swap algorithms freely.
 #pragma once
 
 #include <memory>
@@ -10,7 +11,6 @@
 #include "core/ordering_policy.hpp"
 #include "match/matcher.hpp"
 #include "tree/flat_tree.hpp"
-#include "tree/profile_tree.hpp"
 
 namespace genas {
 
@@ -21,23 +21,16 @@ class TreeMatcher final : public Matcher {
 
   std::string_view name() const noexcept override { return "tree"; }
 
-  /// Matches against the flat compiled form (the hot path). Set
-  /// `use_flat_layout(false)` to force the node form (layout benchmarks).
   MatchOutcome match(const Event& event) const override;
 
   void rebuild(const ProfileSet& profiles) override;
 
-  const ProfileTree& tree() const noexcept { return *tree_; }
   const FlatProfileTree& flat() const noexcept { return *flat_; }
-
-  void use_flat_layout(bool flat) noexcept { use_flat_ = flat; }
 
  private:
   OrderingPolicy policy_;
   std::optional<JointDistribution> distribution_;
-  std::unique_ptr<const ProfileTree> tree_;
   std::unique_ptr<const FlatProfileTree> flat_;
-  bool use_flat_ = true;
 };
 
 }  // namespace genas

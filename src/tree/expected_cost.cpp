@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "tree/flat_tree.hpp"
 
 namespace genas {
 
@@ -146,15 +147,15 @@ class EmpiricalAccumulator {
       : num_(static_cast<std::size_t>(top_profile + 1), 0.0),
         den_(num_.size(), 0.0) {}
 
-  void add(const TreeMatch& match) {
+  void add(const FlatMatch& match) {
     const auto ops = static_cast<double>(match.operations);
     ++events_;
     sum_ops_ += ops;
     sum_ops_sq_ += ops * ops;
-    if (match.matched != nullptr && !match.matched->empty()) {
+    if (match.matched_count > 0) {
       ++matched_events_;
-      pairs_ += static_cast<double>(match.matched->size());
-      for (const ProfileId id : *match.matched) {
+      pairs_ += static_cast<double>(match.matched_count);
+      for (const ProfileId id : match.span()) {
         num_[id] += ops;
         den_[id] += 1.0;
       }
@@ -207,9 +208,10 @@ CostReport empirical_cost(const ProfileTree& tree, EventSampler& sampler,
   GENAS_REQUIRE(sampler.joint().schema() == tree.schema(),
                 ErrorCode::kInvalidArgument,
                 "sampler schema differs from tree schema");
+  const FlatProfileTree flat = FlatProfileTree::compile(tree);
   EmpiricalAccumulator accum(max_profile_id(tree));
   for (std::size_t i = 0; i < count; ++i) {
-    accum.add(tree.match(sampler.sample()));
+    accum.add(flat.match(sampler.sample()));
   }
   return accum.report();
 }
@@ -224,9 +226,10 @@ PrecisionRun empirical_cost_to_precision(const ProfileTree& tree,
   GENAS_REQUIRE(sampler.joint().schema() == tree.schema(),
                 ErrorCode::kInvalidArgument,
                 "sampler schema differs from tree schema");
+  const FlatProfileTree flat = FlatProfileTree::compile(tree);
   EmpiricalAccumulator accum(max_profile_id(tree));
   while (accum.events() < max_events) {
-    accum.add(tree.match(sampler.sample()));
+    accum.add(flat.match(sampler.sample()));
     if (accum.events() >= min_events) {
       const double mean = accum.mean_ops();
       if (mean == 0.0) break;  // degenerate: every event costs zero

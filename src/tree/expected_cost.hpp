@@ -56,7 +56,8 @@ CostReport expected_cost(const ProfileTree& tree,
                          const JointDistribution& joint);
 
 /// Monte-Carlo counterpart (TV3): posts `count` sampled events through the
-/// tree and measures the same metrics empirically.
+/// tree's compiled flat form (the matcher every publish uses) and measures
+/// the same metrics empirically.
 CostReport empirical_cost(const ProfileTree& tree, EventSampler& sampler,
                           std::size_t count);
 

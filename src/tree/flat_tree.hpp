@@ -1,7 +1,7 @@
 // GENAS — FlatProfileTree: the cache-friendly compiled form of a tree.
 //
-// ProfileTree::Node keeps five std::vectors per node, so a root-to-leaf walk
-// chases one heap pointer per vector per level. FlatProfileTree compiles the
+// ProfileTree::Node keeps five std::vectors per node, so walking it would
+// chase one heap pointer per vector per level. FlatProfileTree compiles the
 // built tree into one contiguous arena with SoA cell slabs — `upper_[]`,
 // `child_[]`, `cost_[]` indexed by a per-node cell offset — plus a CSR
 // posting slab for the leaves. Cells partition each node's domain, so the
@@ -11,10 +11,10 @@
 // posting span.
 //
 // Node indices, child-slot encoding, and per-cell costs are copied verbatim
-// from the source ProfileTree, so flat matching reports bit-identical
-// matched sets and operation counts. The node form remains the build /
-// expected-cost / dump representation; the flat form is the hot match path
-// used by TreeMatcher, FilterEngine, and the broker snapshots.
+// from the source ProfileTree, so the operation counts are exactly the ones
+// the node form's cost model (expected_cost) predicts. The flat form is the
+// only form that matches events: TreeMatcher, FilterEngine, and the broker
+// snapshots hold nothing else, and the node form is dropped once compiled.
 //
 // Immutable after compile(); matching is allocation-free, noexcept, and
 // safe to run from any number of threads concurrently.
@@ -32,7 +32,7 @@ namespace genas {
 struct FlatMatch {
   const ProfileId* matched = nullptr;
   std::uint32_t matched_count = 0;
-  /// Counted comparison operations, identical to the node form's accounting.
+  /// Counted comparison operations (the paper's performance measure).
   std::uint64_t operations = 0;
 
   std::span<const ProfileId> span() const noexcept {
@@ -59,6 +59,8 @@ class FlatProfileTree {
 
   const SchemaPtr& schema() const noexcept { return schema_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
+  /// Node directory, indexed like ProfileTree::nodes().
+  std::span<const NodeRef> nodes() const noexcept { return nodes_; }
   std::size_t leaf_count() const noexcept {
     return leaf_offsets_.empty() ? 0 : leaf_offsets_.size() - 1;
   }

@@ -268,29 +268,6 @@ ProfileTree ProfileTree::build(const ProfileSet& profiles, TreeConfig config) {
   return tree;
 }
 
-TreeMatch ProfileTree::match(const Event& event) const noexcept {
-  TreeMatch result;
-  std::int32_t slot = root_;
-  while (slot >= 0) {
-    const Node& node = nodes_[static_cast<std::size_t>(slot)];
-    const DomainIndex v = event.index(node.attribute);
-    // Locate the containing cell: binary search by interval upper bound.
-    // This is the prototype's O(1) lookup-table access and is not counted
-    // as a filter operation (see DESIGN.md §5.6).
-    auto it = std::lower_bound(
-        node.cells.begin(), node.cells.end(), v,
-        [](const Interval& cell, DomainIndex x) { return cell.hi < x; });
-    if (it == node.cells.end()) --it;  // defensive: v beyond domain edge
-    const auto idx = static_cast<std::size_t>(it - node.cells.begin());
-    result.operations += node.cost[idx];
-    slot = node.child[idx];
-  }
-  if (is_leaf_ref(slot)) {
-    result.matched = &leaves_[leaf_index(slot)].matched;
-  }
-  return result;
-}
-
 std::string ProfileTree::dump() const {
   std::ostringstream os;
   os << "ProfileTree(p=" << profile_count_ << ", nodes=" << nodes_.size()

@@ -16,8 +16,10 @@
 //     event-probability, V2 profile-probability, V3 combined) together with
 //     the search strategy (linear/binary/interpolation/hash).
 //
-// The tree is immutable after build(); matching is allocation-free,
-// noexcept, and thread-safe.
+// This node form is the builder's output: expected_cost, dump, and the
+// structural tests read it, and FlatProfileTree::compile turns it into the
+// one form that matches events (tree/flat_tree.hpp). It is immutable after
+// build().
 #pragma once
 
 #include <cstdint>
@@ -68,20 +70,7 @@ struct TreeBuildStats {
   std::size_t max_node_width = 0;  ///< most cells in one node
 };
 
-/// Result of matching one event.
-struct TreeMatch {
-  /// Profiles matched by the event; points into the tree's leaf storage
-  /// (valid while the tree lives). Null when nothing matched.
-  const std::vector<ProfileId>* matched = nullptr;
-  /// Counted comparison operations (the paper's performance measure).
-  std::uint64_t operations = 0;
-
-  std::size_t matched_count() const noexcept {
-    return matched ? matched->size() : 0;
-  }
-};
-
-/// Immutable matching automaton over a snapshot of a profile set.
+/// Immutable automaton over a snapshot of a profile set (build output).
 class ProfileTree {
  public:
   /// Internal node: one attribute test over a cell partition.
@@ -111,9 +100,6 @@ class ProfileTree {
   /// Builds the tree over the currently active profiles. Throws on invalid
   /// configuration (bad permutation, missing event distribution for V1/V3).
   static ProfileTree build(const ProfileSet& profiles, TreeConfig config);
-
-  /// Matches one event along the single DFSA path.
-  TreeMatch match(const Event& event) const noexcept;
 
   const SchemaPtr& schema() const noexcept { return schema_; }
   const TreeConfig& config() const noexcept { return config_; }

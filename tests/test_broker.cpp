@@ -207,6 +207,54 @@ TEST_F(BrokerTest, PublishBatchWithAdaptiveEngineStillDelivers) {
   EXPECT_EQ(broker.counters().events_published, 16u);
 }
 
+TEST_F(BrokerTest, AdaptiveBrokerAccountsChurnAndDriftRebuilds) {
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 50;
+  adaptive.rebuild_cooldown = 50;
+  adaptive.drift_threshold = 0.3;
+  adaptive.decay = 0.98;
+  options.adaptive = adaptive;
+  Broker broker(schema_, options);
+  int fired = 0;
+  broker.subscribe("temperature >= 35", [&](const Notification&) { ++fired; });
+  const Event hot = Event::from_pairs(
+      schema_, {{"temperature", 40}, {"humidity", 0}, {"radiation", 1}});
+  EXPECT_TRUE(broker.publish(hot).rebuilt);  // first build
+  EXPECT_FALSE(broker.publish(hot).rebuilt);
+
+  // A subscription change rebuilds on the next publish, which says so.
+  broker.subscribe("humidity >= 90", [&](const Notification&) { ++fired; });
+  EXPECT_TRUE(broker.publish(hot).rebuilt);
+  EXPECT_EQ(fired, 3);
+
+  // Alternate two P_e regimes until the drift loop has rebuilt the tree.
+  bool drift_rebuilt = false;
+  for (int block = 0; block < 8; ++block) {
+    const std::vector<Event> stream = testutil::event_stream(
+        testutil::peak_joint(schema_, block % 2 == 0), 200,
+        static_cast<std::uint64_t>(block) + 1);
+    for (const Event& event : stream) {
+      drift_rebuilt |= broker.publish(event).rebuilt;
+    }
+  }
+  EXPECT_TRUE(drift_rebuilt);
+
+  const obs::StatsSnapshot scrape = broker.metrics().snapshot();
+  const std::int64_t snapshot_rebuilds =
+      scrape.value("genas_broker_snapshot_rebuilds_total");
+  const std::int64_t adaptive_rebuilds =
+      scrape.value("genas_broker_adaptive_rebuilds_total");
+  EXPECT_GE(snapshot_rebuilds, 2);
+  EXPECT_GT(adaptive_rebuilds, 0);
+  const obs::MetricSnapshot* pause =
+      scrape.find("genas_broker_rebuild_pause_ns");
+  ASSERT_NE(pause, nullptr);
+  EXPECT_EQ(pause->count(),
+            static_cast<std::uint64_t>(snapshot_rebuilds + adaptive_rebuilds));
+}
+
 // --- delivery sinks ---------------------------------------------------------
 
 TEST_F(BrokerTest, MultipleDeliverySinksAllObserveAndSetOnlySwapsItsOwn) {

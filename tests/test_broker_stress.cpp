@@ -1,8 +1,9 @@
 // Multithreaded broker stress: publisher threads race subscribe/unsubscribe
 // churn and assert the snapshot semantics the threading model promises —
 // no lost and no duplicated notifications for subscriptions that are stable
-// across a publish, consistent atomic counters, and quiescence after an
-// unsubscribe has been observed. Run under -fsanitize=thread in CI (the
+// across a publish, consistent atomic counters, quiescence after an
+// unsubscribe has been observed, and adaptive restructuring that never
+// changes what gets delivered. Run under -fsanitize=thread in CI (the
 // GENAS_SANITIZE=thread configuration) to verify data-race freedom.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "ens/broker.hpp"
+#include "match/naive_matcher.hpp"
 #include "test_util.hpp"
 
 namespace genas {
@@ -169,6 +171,135 @@ TEST(BrokerStress, SubscribersArrivingMidStreamSeeOnlyLaterEvents) {
   // And it reliably sees everything from now on.
   broker.publish("temperature = 0; humidity = 0; radiation = 1");
   EXPECT_GE(late_count.load(), 1);
+}
+
+TEST(BrokerStress, AdaptiveDeliveryMatchesNaiveAndStaticBroker) {
+  // Publishers alternate two P_e regimes on an adaptive broker, so drift
+  // rebuilds swap the tree under concurrent lock-free matching; a static
+  // broker gets the same events. Every stable subscription's delivery
+  // multiset must equal the NaiveMatcher truth on both brokers.
+  const SchemaPtr schema = testutil::example1_schema();
+  const std::vector<std::string> expressions = {
+      "temperature >= 35",
+      "temperature <= -20",
+      "humidity >= 90",
+      "temperature >= 0 && humidity <= 50",
+      "radiation >= 50 && temperature >= 20",
+      "humidity <= 10 && radiation <= 30",
+      "temperature >= 40 && humidity >= 40 && radiation >= 40",
+      "radiation >= 1"};
+
+  EngineOptions adaptive_options;
+  adaptive_options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 64;
+  adaptive.rebuild_cooldown = 64;
+  adaptive.drift_threshold = 0.3;
+  adaptive.decay = 0.98;
+  adaptive_options.adaptive = adaptive;
+  Broker adaptive_broker(schema, adaptive_options);
+  Broker static_broker(schema);
+
+  constexpr std::size_t kEvents = 640;  // per publisher
+  constexpr std::size_t kBlock = 160;   // events per regime block
+  constexpr std::size_t kBatch = 16;    // events per publish_batch call
+  constexpr std::size_t kAll = kPublishers * kEvents;
+  // Delivery counts per (subscription index, event id); the event id is
+  // the event's timestamp.
+  std::vector<std::atomic<int>> adaptive_counts(expressions.size() * kAll);
+  std::vector<std::atomic<int>> static_counts(expressions.size() * kAll);
+  ProfileSet profiles(schema);
+  for (std::size_t s = 0; s < expressions.size(); ++s) {
+    profiles.add(parse_profile(schema, expressions[s]));
+    const auto count_into = [s](std::vector<std::atomic<int>>& counts) {
+      return [&counts, s](const Notification& n) {
+        counts[s * kAll + static_cast<std::size_t>(n.event.time())]
+            .fetch_add(1, std::memory_order_relaxed);
+      };
+    };
+    adaptive_broker.subscribe(expressions[s], count_into(adaptive_counts));
+    static_broker.subscribe(expressions[s], count_into(static_counts));
+  }
+
+  // Per-publisher event streams, regimes alternating every kBlock events.
+  std::vector<std::vector<Event>> streams(kPublishers);
+  for (std::size_t t = 0; t < kPublishers; ++t) {
+    for (std::size_t block = 0; block * kBlock < kEvents; ++block) {
+      const std::vector<Event> part = testutil::event_stream(
+          testutil::peak_joint(schema, block % 2 == 1), kBlock,
+          100 * t + block + 1);
+      for (const Event& event : part) {
+        const std::size_t id = t * kEvents + streams[t].size();
+        streams[t].push_back(Event::from_indices(
+            schema, event.indices(), static_cast<Timestamp>(id)));
+      }
+    }
+  }
+
+  std::atomic<std::uint64_t> churn_notifications{0};
+  std::barrier start(kPublishers);
+  std::vector<std::thread> publishers;
+  for (std::size_t t = 0; t < kPublishers; ++t) {
+    publishers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const std::vector<Event>& stream = streams[t];
+      static_assert(kEvents % kBatch == 0);
+      for (std::size_t chunk = 0; chunk * kBatch < stream.size(); ++chunk) {
+        const std::span<const Event> events(stream.data() + chunk * kBatch,
+                                            kBatch);
+        if (t == 0 && chunk % 8 == 7) {
+          // Publisher 0 churns a subscription now and then (each change
+          // also rebuilds, against the current estimate).
+          const SubscriptionId churned = adaptive_broker.subscribe(
+              "humidity >= 50", [&](const Notification&) {
+                churn_notifications.fetch_add(1, std::memory_order_relaxed);
+              });
+          adaptive_broker.unsubscribe(churned);
+        }
+        // Every publisher alternates both publish paths, so drift rebuilds
+        // land in each of them.
+        if ((chunk + t) % 2 == 0) {
+          adaptive_broker.publish_batch(events);
+          static_broker.publish_batch(events);
+        } else {
+          for (const Event& event : events) {
+            adaptive_broker.publish(event);
+            static_broker.publish(event);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& publisher : publishers) publisher.join();
+
+  EXPECT_GT(adaptive_broker.metrics().snapshot().value(
+                "genas_broker_adaptive_rebuilds_total"),
+            0)
+      << "the regime changes must trigger drift rebuilds";
+
+  const NaiveMatcher oracle(profiles);
+  std::size_t expected_total = 0;
+  for (const std::vector<Event>& stream : streams) {
+    for (const Event& event : stream) {
+      const auto id = static_cast<std::size_t>(event.time());
+      std::vector<int> want(expressions.size(), 0);
+      for (const ProfileId profile : oracle.match(event).matched) {
+        want[profile] = 1;
+        ++expected_total;
+      }
+      for (std::size_t s = 0; s < expressions.size(); ++s) {
+        const std::size_t slot = s * kAll + id;
+        ASSERT_EQ(adaptive_counts[slot].load(), want[s])
+            << "adaptive broker, subscription " << s << ", event " << id;
+        ASSERT_EQ(static_counts[slot].load(), want[s])
+            << "static broker, subscription " << s << ", event " << id;
+      }
+    }
+  }
+  EXPECT_GT(expected_total, 0u);
+  EXPECT_EQ(static_broker.counters().notifications, expected_total);
+  EXPECT_EQ(adaptive_broker.counters().notifications,
+            expected_total + churn_notifications.load());
 }
 
 }  // namespace

@@ -38,14 +38,14 @@ TEST_F(FilterEngineTest, SubscribeMatchUnsubscribe) {
 TEST_F(FilterEngineTest, LazyRebuildOnSubscriptionChange) {
   FilterEngine engine(schema_);
   engine.subscribe("temperature >= 35");
-  (void)engine.tree();
+  (void)engine.snapshot();
   const std::uint64_t builds = engine.rebuild_count();
-  // No change: tree() must not rebuild again.
-  (void)engine.tree();
+  // No change: snapshot() must not rebuild again.
+  (void)engine.snapshot();
   EXPECT_EQ(engine.rebuild_count(), builds);
   // Subscription change invalidates.
   engine.subscribe("humidity >= 90");
-  (void)engine.tree();
+  (void)engine.snapshot();
   EXPECT_EQ(engine.rebuild_count(), builds + 1);
 }
 
@@ -57,14 +57,16 @@ TEST_F(FilterEngineTest, PolicyChangeTriggersRebuildWithNewShape) {
   engine.subscribe("temperature >= 35 && humidity >= 90");
   engine.subscribe("humidity <= 5");
 
-  (void)engine.tree();
+  (void)engine.snapshot();
   OrderingPolicy policy;
   policy.attribute_measure = AttributeMeasure::kA1;
   policy.direction = OrderDirection::kDescending;
   engine.set_policy(policy);
-  const ProfileTree& tree = engine.tree();
+  const std::shared_ptr<const FlatProfileTree> tree = engine.snapshot();
   // Humidity has the larger zero-subdomain: it must now be the root.
-  EXPECT_EQ(tree.nodes().back().attribute, schema_->id_of("humidity"));
+  ASSERT_GE(tree->root(), 0);
+  EXPECT_EQ(tree->nodes()[static_cast<std::size_t>(tree->root())].attribute,
+            schema_->id_of("humidity"));
 }
 
 TEST_F(FilterEngineTest, EffectiveDistributionFallsBackToUniformThenPrior) {
@@ -122,30 +124,27 @@ TEST_F(FilterEngineTest, AdaptiveLoopRebuildsOnDrift) {
 TEST_F(FilterEngineTest, SnapshotIsImmutableAcrossMutations) {
   FilterEngine engine(schema_);
   const ProfileId hot = engine.subscribe("temperature >= 35");
-  const std::shared_ptr<const MatchSnapshot> snapshot = engine.snapshot();
+  const std::shared_ptr<const FlatProfileTree> snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
-  ASSERT_NE(snapshot->tree, nullptr);
-  ASSERT_NE(snapshot->flat, nullptr);
-  EXPECT_EQ(snapshot->flat->source_version(),
-            snapshot->tree->source_version());
+  EXPECT_EQ(snapshot->source_version(), engine.profiles().version());
 
   // Mutate and rebuild: the old snapshot must keep matching the old set.
   engine.subscribe("humidity >= 90");
-  const std::shared_ptr<const MatchSnapshot> fresh = engine.snapshot();
+  const std::shared_ptr<const FlatProfileTree> fresh = engine.snapshot();
   EXPECT_NE(fresh, snapshot);
 
   const Event wet = make_event(0, 95, 1);
-  EXPECT_EQ(snapshot->flat->match(wet).matched_count, 0u);  // old: hot only
-  ASSERT_EQ(fresh->flat->match(wet).matched_count, 1u);
+  EXPECT_EQ(snapshot->match(wet).matched_count, 0u);  // old: hot only
+  ASSERT_EQ(fresh->match(wet).matched_count, 1u);
 
   const Event both = make_event(40, 95, 1);
-  const FlatMatch old_match = snapshot->flat->match(both);
+  const FlatMatch old_match = snapshot->match(both);
   ASSERT_EQ(old_match.matched_count, 1u);
   EXPECT_EQ(old_match.matched[0], hot);
-  EXPECT_EQ(fresh->flat->match(both).matched_count, 2u);
+  EXPECT_EQ(fresh->match(both).matched_count, 2u);
 }
 
-TEST_F(FilterEngineTest, MatchBatchAgreesWithSingleMatches) {
+TEST_F(FilterEngineTest, ObserveWithoutAdaptiveLoopLeavesMatchingAlone) {
   FilterEngine engine(schema_);
   engine.subscribe("temperature >= 35");
   engine.subscribe("humidity >= 90");
@@ -155,33 +154,35 @@ TEST_F(FilterEngineTest, MatchBatchAgreesWithSingleMatches) {
       make_event(40, 95, 1),  make_event(0, 0, 99), make_event(-30, 0, 1),
       make_event(36, 91, 77), make_event(35, 90, 50)};
 
-  std::vector<ProfileId> matched;
-  std::vector<std::size_t> offsets;
-  const EngineBatchMatch batch = engine.match_batch(events, matched, offsets);
-
-  ASSERT_EQ(offsets.size(), events.size() + 1);
+  // Matching the snapshot (what the broker does) agrees with match(), and
+  // observe() on a non-adaptive engine neither rebuilds nor swaps it.
+  const std::shared_ptr<const FlatProfileTree> snapshot = engine.snapshot();
+  const std::uint64_t builds = engine.rebuild_count();
+  std::uint64_t snapshot_operations = 0;
   std::uint64_t single_operations = 0;
+  std::size_t snapshot_matched_events = 0;
   std::size_t single_matched_events = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
+    const MatchOutcome from_snapshot = testutil::flat_match(*snapshot, events[i]);
+    snapshot_operations += from_snapshot.operations;
+    if (!from_snapshot.matched.empty()) ++snapshot_matched_events;
     const EngineMatch single = engine.match(events[i]);
     single_operations += single.operations;
     if (!single.matched.empty()) ++single_matched_events;
-    const std::vector<ProfileId> slice(matched.begin() + offsets[i],
-                                       matched.begin() + offsets[i + 1]);
-    EXPECT_EQ(slice, single.matched) << "event " << i;
+    EXPECT_EQ(from_snapshot.matched, single.matched) << "event " << i;
+    EXPECT_FALSE(single.rebuilt);
   }
-  EXPECT_EQ(batch.operations, single_operations);
-  EXPECT_EQ(batch.matched_events, single_matched_events);
-  EXPECT_FALSE(batch.rebuilt);
+  EXPECT_EQ(snapshot_operations, single_operations);
+  EXPECT_EQ(snapshot_matched_events, single_matched_events);
+  EXPECT_FALSE(engine.observe(events));
 
-  // Buffer reuse: a second batch clears and refills the same vectors.
-  const std::size_t capacity = matched.capacity();
-  engine.match_batch(events, matched, offsets);
-  EXPECT_EQ(offsets.size(), events.size() + 1);
-  EXPECT_GE(matched.capacity(), capacity);
+  // A second pass changes nothing either.
+  EXPECT_FALSE(engine.observe(events));
+  EXPECT_EQ(engine.rebuild_count(), builds);
+  EXPECT_EQ(engine.snapshot(), snapshot);
 }
 
-TEST_F(FilterEngineTest, MatchBatchFeedsAdaptiveLoop) {
+TEST_F(FilterEngineTest, ObserveFeedsAdaptiveLoop) {
   EngineOptions options;
   AdaptiveOptions adaptive;
   adaptive.min_observations = 100;
@@ -194,13 +195,13 @@ TEST_F(FilterEngineTest, MatchBatchFeedsAdaptiveLoop) {
 
   const std::vector<Event> low =
       testutil::event_stream(testutil::peak_joint(schema_, false), 256, 3);
-  std::vector<ProfileId> matched;
-  std::vector<std::size_t> offsets;
+  const std::shared_ptr<const FlatProfileTree> before = engine.snapshot();
   bool rebuilt = false;
   for (int round = 0; round < 4; ++round) {
-    rebuilt |= engine.match_batch(low, matched, offsets).rebuilt;
+    rebuilt |= engine.observe(low);
   }
   EXPECT_TRUE(rebuilt);  // batch observations drive the first optimization
+  EXPECT_NE(engine.snapshot(), before);  // the rebuild swapped the snapshot
   ASSERT_NE(engine.adaptive(), nullptr);
   EXPECT_EQ(engine.adaptive()->observations(), 4u * 256u);
 }
@@ -210,6 +211,11 @@ TEST_F(FilterEngineTest, Validation) {
   FilterEngine engine(schema_);
   const SchemaPtr other = testutil::example1_schema();
   EXPECT_THROW(engine.match(Event::from_indices(other, {0, 0, 0})), Error);
+  const Event foreign = Event::from_indices(other, {0, 0, 0});
+  EngineOptions adaptive;
+  adaptive.adaptive = AdaptiveOptions{};
+  FilterEngine adaptive_engine(schema_, adaptive);
+  EXPECT_THROW(adaptive_engine.observe({&foreign, 1}), Error);
   EXPECT_THROW(engine.unsubscribe(42), Error);
 
   EngineOptions bad;

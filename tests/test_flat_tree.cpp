@@ -1,11 +1,13 @@
-// Tests for FlatProfileTree: the SoA compilation must be observationally
-// identical to the node form — same matched sets AND same counted
-// operations — across every ordering policy, search strategy, and workload.
+// Tests for FlatProfileTree, the only form that matches events: across
+// every ordering policy, search strategy, and workload its matched sets must
+// equal the NaiveMatcher brute force, and its counted operations must equal
+// what the node form's cost model charges the same event.
 #include <gtest/gtest.h>
 
 #include "match/naive_matcher.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
+#include "tree/expected_cost.hpp"
 #include "tree/flat_tree.hpp"
 
 namespace genas {
@@ -15,6 +17,23 @@ Event make_event(const SchemaPtr& schema, std::int64_t t, std::int64_t h,
                  std::int64_t r) {
   return Event::from_pairs(
       schema, {{"temperature", t}, {"humidity", h}, {"radiation", r}});
+}
+
+/// Operations the node form charges `event`: its exact expected cost under
+/// the point mass on the event's values, an oracle independent of the flat
+/// compilation's slabs.
+double node_form_operations(const ProfileTree& tree, const Event& event) {
+  const SchemaPtr& schema = tree.schema();
+  std::vector<DiscreteDistribution> marginals;
+  for (AttributeId id = 0; id < schema->attribute_count(); ++id) {
+    std::vector<double> weights(
+        static_cast<std::size_t>(schema->attribute(id).domain.size()), 0.0);
+    weights[static_cast<std::size_t>(event.index(id))] = 1.0;
+    marginals.push_back(DiscreteDistribution::from_weights(std::move(weights)));
+  }
+  return expected_cost(tree,
+                       JointDistribution::independent(schema, std::move(marginals)))
+      .ops_per_event;
 }
 
 TEST(FlatTree, MatchesExample1Exactly) {
@@ -30,20 +49,21 @@ TEST(FlatTree, MatchesExample1Exactly) {
   EXPECT_EQ(flat.root(), tree.root());
   EXPECT_GT(flat.arena_bytes(), 0u);
 
+  const NaiveMatcher oracle(profiles);
   const Event hot = make_event(schema, 40, 95, 40);
-  const TreeMatch node_match = tree.match(hot);
-  const FlatMatch flat_match = flat.match(hot);
-  ASSERT_NE(node_match.matched, nullptr);
-  EXPECT_EQ(std::vector<ProfileId>(flat_match.span().begin(),
-                                   flat_match.span().end()),
-            *node_match.matched);
-  EXPECT_EQ(flat_match.operations, node_match.operations);
+  const MatchOutcome flat_match = testutil::flat_match(flat, hot);
+  EXPECT_EQ(flat_match.matched, (std::vector<ProfileId>{0, 1, 2, 4}));
+  EXPECT_EQ(flat_match.matched, oracle.match(hot).matched);
+  EXPECT_EQ(static_cast<double>(flat_match.operations),
+            node_form_operations(tree, hot));
 
   const Event miss = make_event(schema, 0, 50, 70);
   const FlatMatch nothing = flat.match(miss);
   EXPECT_EQ(nothing.matched_count, 0u);
   EXPECT_EQ(nothing.matched, nullptr);
-  EXPECT_EQ(nothing.operations, tree.match(miss).operations);
+  EXPECT_TRUE(oracle.match(miss).matched.empty());
+  EXPECT_EQ(static_cast<double>(nothing.operations),
+            node_form_operations(tree, miss));
 }
 
 TEST(FlatTree, EmptyProfileSetNeverMatches) {
@@ -100,20 +120,17 @@ TEST_P(FlatTreeOracle, AgreesWithNodeFormOnRandomWorkloads) {
   const ProfileTree tree = ProfileTree::build(profiles, config);
   const FlatProfileTree flat = FlatProfileTree::compile(tree);
 
+  EXPECT_EQ(flat.node_count(), tree.nodes().size());
+  EXPECT_EQ(flat.leaf_count(), tree.leaves().size());
+  EXPECT_EQ(flat.cell_count(), tree.build_stats().cell_count);
+
   const NaiveMatcher oracle(profiles);
   for (const Event& event : testutil::event_stream(joint, 500, 11)) {
-    const TreeMatch node_match = tree.match(event);
-    const FlatMatch flat_match = flat.match(event);
-    ASSERT_EQ(flat_match.operations, node_match.operations)
+    const MatchOutcome flat_match = testutil::flat_match(flat, event);
+    ASSERT_EQ(static_cast<double>(flat_match.operations),
+              node_form_operations(tree, event))
         << event.to_string();
-    const std::vector<ProfileId> flat_ids(flat_match.span().begin(),
-                                          flat_match.span().end());
-    if (node_match.matched == nullptr) {
-      EXPECT_TRUE(flat_ids.empty()) << event.to_string();
-    } else {
-      EXPECT_EQ(flat_ids, *node_match.matched) << event.to_string();
-    }
-    EXPECT_EQ(testutil::sorted(flat_ids), oracle.match(event).matched)
+    EXPECT_EQ(flat_match.matched, oracle.match(event).matched)
         << event.to_string();
   }
 }

@@ -80,9 +80,8 @@ TEST_F(OrderingPolicyTest, BuildTreeConvenienceProducesMatchingTree) {
   const ProfileTree tree = build_tree(profiles_, policy, uniform_joint());
   const Event event = Event::from_pairs(
       schema_, {{"temperature", 30}, {"humidity", 90}, {"radiation", 2}});
-  const TreeMatch match = tree.match(event);
-  ASSERT_NE(match.matched, nullptr);
-  EXPECT_EQ(*match.matched, (std::vector<ProfileId>{1, 4}));
+  const MatchOutcome match = testutil::flat_match(tree, event);
+  EXPECT_EQ(match.matched, (std::vector<ProfileId>{1, 4}));
 }
 
 TEST_F(OrderingPolicyTest, LabelsAreDescriptive) {

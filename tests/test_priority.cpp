@@ -107,10 +107,10 @@ TEST(ProfileWeights, EngineExposesPriorities) {
   FilterEngine engine(schema, options);
   const ProfileId a = engine.subscribe("x = 3");
   engine.subscribe("x = 7");
-  (void)engine.tree();
+  (void)engine.snapshot();
   const std::uint64_t builds = engine.rebuild_count();
   engine.set_priority(a, 4.0);
-  (void)engine.tree();  // weight change invalidates the tree
+  (void)engine.snapshot();  // weight change invalidates the tree
   EXPECT_EQ(engine.rebuild_count(), builds + 1);
   EXPECT_THROW(engine.set_priority(77, 1.0), Error);
 }

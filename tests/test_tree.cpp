@@ -1,5 +1,6 @@
 // Structural and matching tests for the profile tree on the paper's
-// Example 1.
+// Example 1. Matching runs on the tree's compiled flat form
+// (testutil::flat_match), the only form that matches events.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -25,37 +26,33 @@ TEST_F(Example1Tree, PaperEventMatchesP2P5) {
   const ProfileTree tree = ProfileTree::build(profiles_, {});
   // Paper §3: event(30, 90, 2) follows [30,35) -> [90,100] -> (*) and is
   // matched by P2 and P5.
-  const TreeMatch match = tree.match(make_event(30, 90, 2));
-  ASSERT_NE(match.matched, nullptr);
-  EXPECT_EQ(*match.matched, (std::vector<ProfileId>{1, 4}));
+  const MatchOutcome match = testutil::flat_match(tree, make_event(30, 90, 2));
+  EXPECT_EQ(match.matched, (std::vector<ProfileId>{1, 4}));
   EXPECT_GT(match.operations, 0u);
 }
 
 TEST_F(Example1Tree, AllFiveProfilesReachable) {
   const ProfileTree tree = ProfileTree::build(profiles_, {});
   // P1,P2,P3,P5 all match (40, 95, 40); P4 matches (-25, 3, 70).
-  const TreeMatch hot = tree.match(make_event(40, 95, 40));
-  ASSERT_NE(hot.matched, nullptr);
-  EXPECT_EQ(*hot.matched, (std::vector<ProfileId>{0, 1, 2, 4}));
+  const MatchOutcome hot = testutil::flat_match(tree, make_event(40, 95, 40));
+  EXPECT_EQ(hot.matched, (std::vector<ProfileId>{0, 1, 2, 4}));
 
-  const TreeMatch cold = tree.match(make_event(-25, 3, 70));
-  ASSERT_NE(cold.matched, nullptr);
-  EXPECT_EQ(*cold.matched, (std::vector<ProfileId>{3}));
+  const MatchOutcome cold = testutil::flat_match(tree, make_event(-25, 3, 70));
+  EXPECT_EQ(cold.matched, (std::vector<ProfileId>{3}));
 }
 
 TEST_F(Example1Tree, ZeroSubdomainEventRejectedAtRoot) {
   const ProfileTree tree = ProfileTree::build(profiles_, {});
   // Temperature 0 lies in D_0 of a1 ([-19,29]): single-path rejection.
-  const TreeMatch miss = tree.match(make_event(0, 90, 40));
-  EXPECT_EQ(miss.matched, nullptr);
-  EXPECT_EQ(miss.matched_count(), 0u);
+  const MatchOutcome miss = testutil::flat_match(tree, make_event(0, 90, 40));
+  EXPECT_TRUE(miss.matched.empty());
 }
 
 TEST_F(Example1Tree, PartialMatchRejectedDeeper) {
   const ProfileTree tree = ProfileTree::build(profiles_, {});
   // Temperature fits P4 but humidity 50 kills it.
-  const TreeMatch miss = tree.match(make_event(-25, 50, 70));
-  EXPECT_EQ(miss.matched, nullptr);
+  const MatchOutcome miss = testutil::flat_match(tree, make_event(-25, 50, 70));
+  EXPECT_TRUE(miss.matched.empty());
 }
 
 TEST_F(Example1Tree, RootHasThePaperEdges) {
@@ -90,9 +87,8 @@ TEST_F(Example1Tree, AttributeReorderBuildsValidTree) {
   const ProfileTree::Node& root =
       tree.nodes()[static_cast<std::size_t>(tree.root())];
   EXPECT_EQ(root.attribute, schema_->id_of("humidity"));
-  const TreeMatch match = tree.match(make_event(30, 90, 2));
-  ASSERT_NE(match.matched, nullptr);
-  EXPECT_EQ(*match.matched, (std::vector<ProfileId>{1, 4}));
+  const MatchOutcome match = testutil::flat_match(tree, make_event(30, 90, 2));
+  EXPECT_EQ(match.matched, (std::vector<ProfileId>{1, 4}));
 }
 
 TEST_F(Example1Tree, ConfigValidation) {
@@ -117,8 +113,8 @@ TEST_F(Example1Tree, EmptyProfileSetMatchesNothing) {
   ProfileSet empty(schema_);
   const ProfileTree tree = ProfileTree::build(empty, {});
   EXPECT_EQ(tree.root(), ProfileTree::kMiss);
-  const TreeMatch match = tree.match(make_event(0, 0, 1));
-  EXPECT_EQ(match.matched, nullptr);
+  const MatchOutcome match = testutil::flat_match(tree, make_event(0, 0, 1));
+  EXPECT_TRUE(match.matched.empty());
   EXPECT_EQ(match.operations, 0u);
 }
 
@@ -126,9 +122,8 @@ TEST_F(Example1Tree, MatchAllProfileFlowsThroughStarEdges) {
   ProfileSet set(schema_);
   set.add(ProfileBuilder(schema_).build());  // don't-care everywhere
   const ProfileTree tree = ProfileTree::build(set, {});
-  const TreeMatch match = tree.match(make_event(0, 0, 1));
-  ASSERT_NE(match.matched, nullptr);
-  EXPECT_EQ(match.matched->size(), 1u);
+  const MatchOutcome match = testutil::flat_match(tree, make_event(0, 0, 1));
+  EXPECT_EQ(match.matched.size(), 1u);
 }
 
 TEST_F(Example1Tree, SourceVersionTracksProfileSet) {

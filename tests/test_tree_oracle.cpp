@@ -11,7 +11,7 @@
 #include "match/naive_matcher.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
-#include "tree/profile_tree.hpp"
+#include "tree/flat_tree.hpp"
 
 namespace genas {
 namespace {
@@ -79,16 +79,15 @@ TEST_P(TreeOracle, AgreesWithNaiveMatcherOnRandomWorkloads) {
   config.event_distribution = joint;
 
   const ProfileTree tree = ProfileTree::build(profiles, config);
+  const FlatProfileTree flat = FlatProfileTree::compile(tree);
   const NaiveMatcher oracle(profiles);
 
   EventSampler sampler(joint, param.seed + 1);
   for (int i = 0; i < 400; ++i) {
     const Event event = sampler.sample();
-    const TreeMatch tree_match = tree.match(event);
+    const MatchOutcome tree_match = testutil::flat_match(flat, event);
     const MatchOutcome expected = oracle.match(event);
-    std::vector<ProfileId> got;
-    if (tree_match.matched != nullptr) got = *tree_match.matched;
-    ASSERT_EQ(got, expected.matched) << event.to_string();
+    ASSERT_EQ(tree_match.matched, expected.matched) << event.to_string();
     // Cost sanity: at most one full scan per level.
     std::size_t bound = 0;
     for (const auto& node : tree.nodes()) {

@@ -10,7 +10,9 @@
 #include "dist/shapes.hpp"
 #include "event/event.hpp"
 #include "event/schema.hpp"
+#include "match/matcher.hpp"
 #include "profile/profile.hpp"
+#include "tree/flat_tree.hpp"
 
 namespace genas::testutil {
 
@@ -56,6 +58,21 @@ inline ProfileSet example1_profiles(const SchemaPtr& schema) {
 inline std::vector<ProfileId> sorted(std::vector<ProfileId> ids) {
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+/// Owned copy of one match on a compiled tree — the flat form is the only
+/// one that matches events: the matched ids (ascending, as leaves store
+/// them) and the counted filter operations.
+inline MatchOutcome flat_match(const FlatProfileTree& flat,
+                               const Event& event) {
+  const FlatMatch match = flat.match(event);
+  return MatchOutcome{{match.matched, match.matched + match.matched_count},
+                      match.operations};
+}
+
+/// flat_match() on the compilation of a built node-form tree.
+inline MatchOutcome flat_match(const ProfileTree& tree, const Event& event) {
+  return flat_match(FlatProfileTree::compile(tree), event);
 }
 
 /// Independent joint whose first attribute carries `mass` of its
