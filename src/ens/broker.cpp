@@ -19,7 +19,7 @@ namespace {
 struct Delivery {
   const NotificationCallback* callback = nullptr;
   SubscriptionId subscription = 0;
-  std::size_t event_index = 0;  // into the batch; 0 for single publish
+  std::size_t event_index = 0;  // into the published run
 };
 
 /// Thread-local delivery scratch, moved out while in use so re-entrant
@@ -567,62 +567,19 @@ bool Broker::observe(std::span<const Event> events) {
   return true;
 }
 
-PublishResult Broker::publish(const Event& event) {
-  GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
-                "event schema differs from broker schema");
-
-  // Sampled event-path trace: every Nth publish per thread stamps t0 and
-  // records publish->match and publish->deliver latency.
-  static thread_local std::uint32_t trace_countdown = 0;
-  const bool traced = trace_.sample(trace_countdown);
-  const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
-
-  PublishResult result;
-  const std::shared_ptr<const Snapshot> snapshot =
-      acquire_snapshot(&result.rebuilt);
-  const FlatMatch match = snapshot->tree->match(event);
-  result.operations = match.operations;
-  if (traced) match_latency_.observe(obs::now_ns() - trace_start);
-
-  events_published_.add(1);
-  operations_.add(match.operations);
-  if (match.matched_count > 0) {
-    events_matched_.add(1);
-  }
-
-  std::vector<Delivery> deliveries = take_delivery_scratch();
-  for (const ProfileId profile : match.span()) {
-    const Route& route = snapshot->routes[profile];
-    if (route.callback == nullptr) continue;  // racing unsubscribe
-    deliveries.push_back(Delivery{route.callback.get(), route.subscription});
-  }
-  result.notified = deliveries.size();
-  notifications_.add(deliveries.size());
-
-  for (const Delivery& delivery : deliveries) {
-    const Notification notification{delivery.subscription, event};
-    (*delivery.callback)(notification);
-    for (const auto& sink : snapshot->sinks) (*sink)(notification);
-  }
-  return_delivery_scratch(std::move(deliveries));
-  for (const auto& hook : snapshot->drain_hooks) (*hook)();
-  if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
-  // After the drain, so notifications never wait behind a drift rebuild.
-  if (engine_.adaptive() != nullptr && observe({&event, 1})) {
-    result.rebuilt = true;
-  }
-  return result;
-}
+PublishResult Broker::publish(const Event& event) { return publish(event, 0); }
 
 PublishResult Broker::publish(std::string_view event_text, Timestamp time) {
   return publish(parse_event(schema_, event_text, time));
 }
 
 PublishResult Broker::publish(const Event& event, std::uint64_t dedup_token) {
-  if (dedup_token == 0) return publish(event);
-  const BatchPublishResult batch =
-      publish_batch_impl({&event, 1}, {&dedup_token, 1});
-  return PublishResult{batch.notified, batch.operations, batch.rebuilt};
+  // A single event is a run of one; token 0 means untracked, like an empty
+  // token span.
+  const BatchPublishResult run = publish_batch_impl(
+      {&event, 1}, dedup_token == 0 ? std::span<const std::uint64_t>{}
+                                    : std::span{&dedup_token, 1});
+  return PublishResult{run.notified, run.operations, run.rebuilt};
 }
 
 BatchPublishResult Broker::publish_batch(std::span<const Event> events) {

@@ -105,8 +105,9 @@ class Broker {
 
   void unsubscribe(SubscriptionId id);
 
-  /// Filters and delivers one event (matching is lock-free; an adaptive
-  /// broker then locks once to observe the event).
+  /// Filters and delivers one event: publish_batch() with a run of one
+  /// (matching is lock-free; an adaptive broker then locks once to observe
+  /// the event).
   PublishResult publish(const Event& event);
   /// Parses "a=1; b=2" and publishes.
   PublishResult publish(std::string_view event_text, Timestamp time = 0);
@@ -298,8 +299,8 @@ class Broker {
   /// version. Returns true when it rebuilt.
   bool observe(std::span<const Event> events);
 
-  /// Shared body of both publish_batch overloads; `dedup_tokens` is empty
-  /// or parallel to `events`.
+  /// The one publish body, behind every publish and publish_batch
+  /// overload; `dedup_tokens` is empty or parallel to `events`.
   BatchPublishResult publish_batch_impl(
       std::span<const Event> events,
       std::span<const std::uint64_t> dedup_tokens);

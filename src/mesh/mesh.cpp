@@ -43,23 +43,25 @@ struct FrameMsg {
   NodeId source = 0;  ///< peer node the frame arrived from
   Bytes bytes;
 };
-struct PublishMsg {
-  Event event;
-  /// Redelivery token forwarded to Broker::publish(event, token); 0 = none.
-  std::uint64_t token = 0;
-  /// Wall stamp (obs::now_ns) set when the publish was trace-sampled at
+/// A run of publishes riding one mailbox slot: the producer pays the
+/// ingress synchronization once per run. A single publish is a run of one.
+struct PublishBatchMsg {
+  std::vector<Event> events;
+  /// One redelivery token per event (forwarded to Broker::publish_batch),
+  /// or empty when none carries one.
+  std::vector<std::uint64_t> tokens;
+  /// Wall stamp (obs::now_ns) set when the run was trace-sampled at
   /// enqueue; 0 = unsampled. Drives the mesh ingress-wait and
   /// publish-to-route histograms across the producer/worker thread hop.
   std::uint64_t trace_stamp = 0;
 };
-/// A run of publishes riding one mailbox slot (MeshNetwork::publish_batch):
-/// the producer pays the ingress synchronization once per run.
-struct PublishBatchMsg {
-  std::vector<Event> events;
-  /// One token per event, or empty when none carries one.
-  std::vector<std::uint64_t> tokens;
-  std::uint64_t trace_stamp = 0;  ///< as PublishMsg; stamps the whole run
-};
+
+/// True for the frames the arena path decodes: kEvent and kEventBatch.
+bool is_event_run(std::span<const std::uint8_t> frame) {
+  const wire::MessageType type = wire::peek_type(frame);
+  return type == wire::MessageType::kEvent ||
+         type == wire::MessageType::kEventBatch;
+}
 
 /// Relaxed high-water update (monitoring-grade; lost races are benign).
 void update_max(std::atomic<std::uint64_t>& mark, std::uint64_t v) {
@@ -88,7 +90,7 @@ struct LocalCompositeUnsubscribeMsg {
 }  // namespace
 
 struct NodeMsg {
-  std::variant<FrameMsg, PublishMsg, PublishBatchMsg, LocalSubscribeMsg,
+  std::variant<FrameMsg, PublishBatchMsg, LocalSubscribeMsg,
                LocalUnsubscribeMsg, LocalCompositeSubscribeMsg,
                LocalCompositeUnsubscribeMsg>
       payload;
@@ -423,13 +425,11 @@ void MeshNetwork::publish(NodeId node, Event event) {
 
 void MeshNetwork::publish(NodeId node, Event event,
                           std::uint64_t dedup_token) {
-  validate_node(node);
-  GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
-                "event schema differs from mesh schema");
-  static thread_local std::uint32_t trace_countdown = 0;
-  const std::uint64_t stamp =
-      trace_.sample(trace_countdown) ? obs::now_ns() : 0;
-  enqueue(node, NodeMsg{PublishMsg{std::move(event), dedup_token, stamp}});
+  std::vector<Event> run;
+  run.push_back(std::move(event));
+  std::vector<std::uint64_t> tokens;
+  if (dedup_token != 0) tokens.push_back(dedup_token);
+  publish_batch(node, std::move(run), std::move(tokens));
 }
 
 void MeshNetwork::publish_batch(NodeId node, std::vector<Event> events,
@@ -772,20 +772,6 @@ void MeshNetwork::handle_batch(Node& node, std::vector<NodeMsg>& batch) {
 }
 
 void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
-  if (auto* publish = std::get_if<PublishMsg>(&message.payload)) {
-    node.events_published.fetch_add(1, std::memory_order_relaxed);
-    if (publish->trace_stamp != 0) {
-      ingress_wait_.observe(obs::now_ns() - publish->trace_stamp);
-      if (node.batch_trace_stamp == 0) {
-        node.batch_trace_stamp = publish->trace_stamp;
-      }
-    }
-    node.batch_events.push_back(std::move(publish->event));
-    node.batch_sources.push_back(kExternal);
-    node.batch_tokens.push_back(publish->token);
-    return;
-  }
-
   if (auto* publish_run = std::get_if<PublishBatchMsg>(&message.payload)) {
     const std::size_t n = publish_run->events.size();
     node.events_published.fetch_add(n, std::memory_order_relaxed);
@@ -810,10 +796,11 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
   }
 
   if (auto* frame = std::get_if<FrameMsg>(&message.payload)) {
-    // Hot path: a bare event batch decodes straight into the round's
-    // scratch through the arena — no wire::Message materialization and,
-    // once the arena is warm, no per-event allocation.
-    if (wire::peek_type(*frame->bytes) == wire::MessageType::kEventBatch) {
+    // Hot path: a bare event run decodes straight into the round's scratch
+    // through the arena — no wire::Message materialization and, once the
+    // arena is warm, no per-event allocation. The decode is all or
+    // nothing, so a rejected frame leaves the scratch vectors aligned.
+    if (is_event_run(*frame->bytes)) {
       const std::size_t n =
           wire::decode_event_batch(*frame->bytes, schema_, node.arena,
                                    node.batch_events, node.batch_tokens);
@@ -848,9 +835,9 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
         return;
       }
       ++from.expected_in;
-      // The envelope's usual cargo is an event batch: take the arena path
+      // The envelope's usual cargo is an event run: take the arena path
       // without materializing a wire::Message.
-      if (wire::peek_type(link->inner) == wire::MessageType::kEventBatch) {
+      if (is_event_run(link->inner)) {
         const std::size_t n =
             wire::decode_event_batch(link->inner, schema_, node.arena,
                                      node.batch_events, node.batch_tokens);
@@ -1001,30 +988,6 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
 void MeshNetwork::handle_link_payload(Node& node, NodeId source,
                                       const Bytes& raw,
                                       wire::Message& decoded) {
-  if (auto* event = std::get_if<wire::EventMsg>(&decoded)) {
-    node.batch_events.push_back(std::move(event->event));
-    node.batch_sources.push_back(source);
-    node.batch_tokens.push_back(0);
-    return;
-  }
-
-  if (auto* batch = std::get_if<wire::EventBatchMsg>(&decoded)) {
-    // Normally intercepted before the generic decode (see handle_message);
-    // kept for completeness so a batch decoded elsewhere still routes.
-    const std::size_t n = batch->events.size();
-    node.batch_events.insert(node.batch_events.end(),
-                             std::make_move_iterator(batch->events.begin()),
-                             std::make_move_iterator(batch->events.end()));
-    node.batch_sources.insert(node.batch_sources.end(), n, source);
-    if (batch->tokens.empty()) {
-      node.batch_tokens.insert(node.batch_tokens.end(), n, 0);
-    } else {
-      node.batch_tokens.insert(node.batch_tokens.end(), batch->tokens.begin(),
-                               batch->tokens.end());
-    }
-    return;
-  }
-
   std::size_t from_index = node.peers.size();
   for (std::size_t p = 0; p < node.peers.size(); ++p) {
     if (node.peers[p]->node == source) {

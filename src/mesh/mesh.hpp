@@ -111,13 +111,12 @@ struct MeshOptions {
   std::optional<JointDistribution> event_distribution;
   /// Mailbox capacity per node; full mailboxes block external producers.
   std::size_t mailbox_capacity = 1024;
-  /// Events coalesced into one kEventBatch frame per link per drain round:
-  /// a link's pending batch flushes when it reaches this many events or at
+  /// Events coalesced into one event-run frame per link per drain round:
+  /// a link's pending run flushes when it reaches this many events or at
   /// the round boundary, whichever comes first. On reliable links the whole
-  /// batch rides one sequenced envelope (one seq/ack instead of one per
-  /// event). 1 reproduces the unbatched wire traffic exactly — each event
-  /// travels as a legacy kEvent frame, byte-identical to the pre-batching
-  /// mesh.
+  /// run rides one sequenced envelope (one seq/ack instead of one per
+  /// event). 1 sends every event as its own run of one — a kEvent frame,
+  /// so one frame (and one seq/ack) per event.
   std::size_t link_batch_max = 256;
   /// Cap on a node's staged outbox frames (frames held back by a full peer
   /// mailbox), summed across its links. 0 = unbounded (the historical
@@ -339,7 +338,8 @@ class MeshNetwork {
   bool flush_outboxes(Node& node);
   void handle_batch(Node& node, std::vector<NodeMsg>& batch);
   void handle_message(Node& node, NodeMsg& message);
-  /// Handles one decoded inter-node message. `raw` is the unwrapped frame
+  /// Handles one decoded inter-node subscription message (event runs take
+  /// handle_message's arena path instead). `raw` is the unwrapped frame
   /// (for byte-identical relaying); with reliable links it is the envelope's
   /// inner frame.
   void handle_link_payload(
@@ -347,8 +347,8 @@ class MeshNetwork {
       const std::shared_ptr<const std::vector<std::uint8_t>>& raw,
       wire::Message& decoded);
   void route_events(Node& node);
-  /// Sends a link's pending event batch (one kEventBatch frame, or a plain
-  /// kEvent when it holds a single event) and resets the link's builder.
+  /// Sends a link's pending event run (a kEventBatch frame, or its kEvent
+  /// form when it holds a single event) and resets the link's builder.
   void flush_link_batch(Node& node, std::size_t peer_index);
   /// Sends one shared wire frame to every peer except `skip_index` (pass
   /// peers.size() to reach all peers).

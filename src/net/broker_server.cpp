@@ -1,5 +1,6 @@
 #include "net/broker_server.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <string_view>
 #include <unordered_map>
@@ -26,6 +27,13 @@ std::uint64_t publish_token(std::uint64_t session, std::uint64_t seq) {
   std::uint64_t state = session ^ (seq * 0x9E3779B97F4A7C15ULL);
   const std::uint64_t token = splitmix64(state);
   return token == 0 ? 1 : token;
+}
+
+/// Dedup tokens are server-assigned (publish_token); a client frame that
+/// carries a nonzero one is a protocol violation.
+bool carries_tokens(const wire::EventBatchMsg& run) {
+  return std::any_of(run.tokens.begin(), run.tokens.end(),
+                     [](std::uint64_t token) { return token != 0; });
 }
 
 }  // namespace
@@ -426,9 +434,12 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
         GENAS_REQUIRE(c.session_id != 0, ErrorCode::kState,
                       "broker server: sequenced publish before hello");
         wire::Message inner = wire::decode_message(link->inner, impl.schema);
-        auto* event = std::get_if<wire::EventMsg>(&inner);
-        GENAS_REQUIRE(event != nullptr, ErrorCode::kState,
-                      "broker server: link envelope must carry an event");
+        auto* run = std::get_if<wire::EventBatchMsg>(&inner);
+        GENAS_REQUIRE(run != nullptr && run->events.size() == 1 &&
+                          !carries_tokens(*run),
+                      ErrorCode::kState,
+                      "broker server: link envelope must carry exactly one "
+                      "token-free event");
         bool fresh = false;
         {
           const std::scoped_lock lock(impl.sessions_mutex);
@@ -450,9 +461,9 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
         const std::uint64_t token =
             publish_token(c.session_id, link->sequence);
         if (impl.broker != nullptr) {
-          impl.broker->publish(event->event, token);
+          impl.broker->publish(run->events.front(), token);
         } else {
-          impl.mesh->publish(impl.node, std::move(event->event), token);
+          impl.mesh->publish(impl.node, std::move(run->events.front()), token);
         }
         continue;
       }
@@ -538,11 +549,14 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
         continue;
       }
 
-      if (auto* event = std::get_if<wire::EventMsg>(&message)) {
+      if (auto* run = std::get_if<wire::EventBatchMsg>(&message)) {
+        GENAS_REQUIRE(!carries_tokens(*run), ErrorCode::kState,
+                      "broker server: client publishes carry no dedup tokens "
+                      "(the server assigns them to sequenced publishes)");
         if (impl.broker != nullptr) {
-          impl.broker->publish(event->event);
+          impl.broker->publish_batch(run->events);
         } else {
-          impl.mesh->publish(impl.node, std::move(event->event));
+          impl.mesh->publish_batch(impl.node, std::move(run->events));
         }
         continue;
       }

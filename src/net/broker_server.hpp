@@ -4,8 +4,9 @@
 // decoded wire frames onto the service API — either a standalone
 // ens::Broker or one node of a running mesh::MeshNetwork (so a socket
 // client participates in distributed routing exactly like a local
-// subscriber at that node). Deliveries and composite firings stream back to
-// the owning client as kDelivery / kCompositeFiring frames.
+// subscriber at that node). Deliveries stream back to the owning client as
+// delivery runs (kDelivery for a run of one, kDeliveryBatch otherwise),
+// composite firings as kCompositeFiring frames.
 //
 // Protocol (one TCP connection per client, frames from src/wire):
 //   server -> client   kSchema            handshake: the service schema;
@@ -15,17 +16,23 @@
 //                      kUnsubscribe(key)
 //                      kCompositeSubscribe(key, expr)
 //                      kCompositeUnsubscribe(key)
-//                      kEvent             publish at the served broker/node
+//                      kEvent | kEventBatch
+//                                         publish a run of events at the
+//                                         served broker/node (kEvent is
+//                                         the run of one); carrying
+//                                         nonzero dedup tokens is a
+//                                         protocol error
 //                      kFlush(token)      barrier (see below)
 //                      kHello(session)    open/resume an at-least-once
 //                                         session (reconnect-mode clients)
 //                      kLinkFrame(seq, kEvent)
-//                                         sequenced publish: dropped when
+//                                         sequenced publish of exactly one
+//                                         token-free event: dropped when
 //                                         seq is under the session's
 //                                         watermark (replay dedup), else
 //                                         published with a dedup token
 //                                         mixed from (session, seq)
-//   server -> client   kDelivery(key, event)
+//   server -> client   kDelivery(key, event) | kDeliveryBatch
 //                      kCompositeFiring(key, time)
 //                      kFlushDone(token)
 //                      kHelloAck(resumed, session, publish watermark)
@@ -92,8 +99,8 @@ struct ServerOptions {
   /// The stage also flushes at the end of every publish (broker drain
   /// hook) and before any non-delivery frame, so batching never delays a
   /// notification past the publish that produced it or reorders it against
-  /// a flush barrier. 1 = every delivery rides its own legacy kDelivery
-  /// frame (the pre-batching wire traffic, byte for byte).
+  /// a flush barrier. 1 = every delivery goes out as its own run of one
+  /// (a kDelivery frame).
   std::size_t delivery_batch_max = 64;
 };
 

@@ -271,7 +271,7 @@ void RemoteBrokerClient::publish(const Event& event) {
   GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
                 "remote broker: event schema differs from service schema");
   if (!options_.reconnect) {
-    send_frame(wire::frame_event(event));
+    send_frame(wire::frame_event_batch({&event, 1}));
     return;
   }
   GENAS_REQUIRE(!failed_.load() && !closing_.load(), ErrorCode::kState,
@@ -284,7 +284,8 @@ void RemoteBrokerClient::publish(const Event& event) {
   // Sequence assignment, window append, and the send share one hold so the
   // server observes strictly increasing sequences.
   const std::uint64_t seq = ++publish_seq_;
-  Frame envelope = wire::frame_link(seq, wire::frame_event(event));
+  Frame envelope =
+      wire::frame_link(seq, wire::frame_event_batch({&event, 1}));
   sent_window_.emplace(seq, envelope);
   while (sent_window_.size() > options_.publish_window) {
     sent_window_.erase(sent_window_.begin());
@@ -387,25 +388,11 @@ void RemoteBrokerClient::read_loop() {
     if (!frame) return;  // end of stream
     wire::Message message = wire::decode_message(*frame, schema_);
 
-    if (auto* delivery = std::get_if<wire::DeliveryMsg>(&message)) {
-      std::shared_ptr<const NotificationCallback> callback;
-      {
-        const std::scoped_lock lock(state_mutex_);
-        const auto it = callbacks_.find(delivery->key);
-        if (it != callbacks_.end()) callback = it->second;
-        // Unknown key: the delivery raced its own unsubscribe — drop.
-      }
-      if (callback != nullptr) {
-        deliveries_.fetch_add(1, std::memory_order_relaxed);
-        (*callback)(Notification{delivery->key, std::move(delivery->event)});
-      }
-      continue;
-    }
-
     if (auto* batch = std::get_if<wire::DeliveryBatchMsg>(&message)) {
-      // One callback lookup per delivery: entries of one batch may belong
-      // to different subscriptions, and any of them may race its own
-      // unsubscribe independently.
+      // kDelivery and kDeliveryBatch alike. One callback lookup per
+      // delivery: entries of one batch may belong to different
+      // subscriptions, and any of them may race its own unsubscribe
+      // independently (an unknown key is dropped).
       for (std::size_t i = 0; i < batch->keys.size(); ++i) {
         std::shared_ptr<const NotificationCallback> callback;
         {

@@ -1,31 +1,10 @@
 #include "wire/batch.hpp"
 
-#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace genas::wire {
-
-namespace {
-
-[[noreturn]] void parse_fail(const std::string& what) {
-  throw_error(ErrorCode::kParse, "wire: " + what);
-}
-
-/// Same remapping as codec.cpp's: constructor validation failures seen from
-/// the wire are parse errors.
-template <typename Fn>
-auto as_parse(Fn&& fn) -> decltype(fn()) {
-  try {
-    return fn();
-  } catch (const Error& e) {
-    if (e.code() == ErrorCode::kParse) throw;
-    throw_error(ErrorCode::kParse, std::string("wire: ") + e.what());
-  }
-}
-
-}  // namespace
 
 std::vector<DomainIndex> EventArena::checkout(std::size_t capacity) {
   std::vector<DomainIndex> v;
@@ -48,48 +27,6 @@ void EventArena::recycle(Event&& event) {
 void EventArena::recycle_all(std::vector<Event>& events) {
   for (Event& event : events) recycle(std::move(event));
   events.clear();
-}
-
-std::size_t decode_event_batch(std::span<const std::uint8_t> frame,
-                               const SchemaPtr& schema, EventArena& arena,
-                               std::vector<Event>& events,
-                               std::vector<std::uint64_t>& tokens) {
-  if (peek_type(frame) != MessageType::kEventBatch) {
-    parse_fail("decode_event_batch requires a kEventBatch frame");
-  }
-  return as_parse([&]() -> std::size_t {
-    GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
-                  "event decoding requires a schema");
-    Reader r(frame.subspan(kFrameHeaderSize));
-    const std::size_t attributes = schema->attribute_count();
-    const std::uint32_t batch = r.count(r.u32(), attributes * 8 + 8);
-    if (batch == 0) parse_fail("empty event batch");
-    const std::uint8_t has_tokens = r.u8();
-    if (has_tokens > 1) parse_fail("event batch token flag must be 0 or 1");
-    events.reserve(events.size() + batch);
-    tokens.reserve(tokens.size() + batch);
-    for (std::uint32_t i = 0; i < batch; ++i) {
-      std::vector<DomainIndex> indices = arena.checkout(attributes);
-      for (std::size_t a = 0; a < attributes; ++a) {
-        const std::uint64_t raw = r.u64();
-        const std::int64_t domain_size = schema->attribute(a).domain.size();
-        if (raw >= static_cast<std::uint64_t>(domain_size)) {
-          parse_fail("event index " + std::to_string(raw) +
-                     " outside domain of '" + schema->attribute(a).name + "'");
-        }
-        indices.push_back(static_cast<DomainIndex>(raw));
-      }
-      const Timestamp time = r.i64();
-      events.push_back(Event::from_indices(schema, std::move(indices), time));
-    }
-    if (has_tokens == 1) {
-      for (std::uint32_t i = 0; i < batch; ++i) tokens.push_back(r.u64());
-    } else {
-      tokens.insert(tokens.end(), batch, 0);
-    }
-    r.expect_done();
-    return batch;
-  });
 }
 
 void EventBatchBuilder::append(const Event& event, std::uint64_t token) {
@@ -116,8 +53,9 @@ std::vector<std::uint8_t> EventBatchBuilder::take_frame() {
   GENAS_CHECK(count_ > 0, "take_frame on an empty batch builder");
   std::vector<std::uint8_t> frame;
   if (count_ == 1 && !any_token_) {
-    // Degenerate to the legacy kEvent frame: identical payload bytes plus
-    // the per-event attribute count the batch format leaves implicit.
+    // The run's single-event form: the same index run behind the attribute
+    // count that the batch form leaves implicit, in place of the event
+    // count and token flag.
     Writer single;
     const std::size_t at = detail::begin_frame(single, MessageType::kEvent);
     single.u32(attr_count_);
@@ -167,8 +105,8 @@ std::vector<std::uint8_t> DeliveryBatchBuilder::take_frame() {
   GENAS_CHECK(count_ > 0, "take_frame on an empty batch builder");
   std::vector<std::uint8_t> frame;
   if (count_ == 1) {
-    // Degenerate to the legacy kDelivery frame: key, then the attribute
-    // count the batch format leaves implicit, then the same index run.
+    // The run's single-entry form: key, then the attribute count the batch
+    // form leaves implicit, then the same index run.
     Writer single;
     const std::size_t at = detail::begin_frame(single, MessageType::kDelivery);
     const std::span<const std::uint8_t> bytes(writer_.bytes());

@@ -1,29 +1,26 @@
-// GENAS — batched link frames: incremental encoders and an arena-backed
-// zero-allocation batch decoder.
+// GENAS — event runs on the wire: incremental encoders and an arena-backed
+// zero-allocation decoder.
 //
-// The mesh's per-event framing is the throughput ceiling the ROADMAP's
-// "batched, zero-copy link frames" item targets: every inter-node event
-// pays its own frame header, heap-allocated index vector, and (on reliable
-// links) its own seq/ack round. This module amortizes all three:
+// Events travel as runs. A run amortizes the frame header, the
+// heap-allocated index vector and (on reliable links) the seq/ack round
+// over all of its events; a single event is simply a run of one:
 //
 //   - EventBatchBuilder / DeliveryBatchBuilder accumulate events into one
-//     kEventBatch / kDeliveryBatch frame incrementally (no intermediate
-//     Event copies — indices are serialized straight into the frame
-//     buffer). A single token-free event degenerates to the legacy kEvent /
-//     kDelivery frame, byte-identical to the unbatched path, so a batch
-//     cap of 1 reproduces the old wire traffic exactly.
+//     frame incrementally (no intermediate Event copies — indices are
+//     serialized straight into the frame buffer). A run of one token-free
+//     event is written in its kEvent / kDelivery form, longer runs as
+//     kEventBatch / kDeliveryBatch, so a batch cap of 1 puts exactly one
+//     count-1 frame per event on the wire.
 //
-//   - EventArena + decode_event_batch materialize a received batch into a
-//     caller-owned vector, drawing every index vector from a free-list of
-//     recycled allocations. Once the arena is warm (the caller recycles
-//     each drained batch back into it), a decode performs zero per-event
-//     heap allocation: the only per-event work is bounds-checked index
-//     copies into reserved storage.
+//   - EventArena + decode_event_batch materialize a received run — either
+//     event frame type — into a caller-owned vector, drawing every index
+//     vector from a free-list of recycled allocations. Once the arena is
+//     warm (the caller recycles each drained batch back into it), a decode
+//     performs zero per-event heap allocation: the only per-event work is
+//     bounds-checked index copies into reserved storage.
 //
-// Validation matches decode_message's kEventBatch case exactly — count
-// guard against the buffer size, per-index domain check, exact-size
-// framing — so the arena path accepts precisely the frames the generic
-// path accepts.
+// decode_event_batch and decode_message share one run decoder (codec.cpp),
+// so the arena path accepts precisely the frames the generic path accepts.
 #pragma once
 
 #include <cstdint>
@@ -60,11 +57,12 @@ class EventArena {
   std::vector<std::vector<DomainIndex>> spare_;
 };
 
-/// Decodes one complete kEventBatch frame (header included), appending the
-/// events to `events` and one dedup token per event to `tokens` (0 when
-/// the frame carries none), with index storage drawn from `arena`. Returns
-/// the number of events appended. Malformed input throws Error{kParse};
-/// the caller must discard any partially-appended output on throw.
+/// Decodes one complete kEvent or kEventBatch frame (header included),
+/// appending the events to `events` and one dedup token per event to
+/// `tokens` (0 when the frame carries none), with index storage drawn from
+/// `arena`. Returns the number of events appended. Malformed input throws
+/// Error{kParse} and appends nothing: both vectors keep the sizes they
+/// entered with.
 std::size_t decode_event_batch(std::span<const std::uint8_t> frame,
                                const SchemaPtr& schema, EventArena& arena,
                                std::vector<Event>& events,
@@ -83,9 +81,9 @@ class EventBatchBuilder {
   bool empty() const noexcept { return count_ == 0; }
 
   /// Finishes and returns the pending frame, resetting the builder for the
-  /// next batch. One token-free event yields a plain kEvent frame; anything
-  /// else a kEventBatch (with the token run appended iff any token was
-  /// nonzero). Asserts on an empty builder.
+  /// next batch. One token-free event yields the run's kEvent form;
+  /// anything else a kEventBatch (with the token run appended iff any token
+  /// was nonzero). Asserts on an empty builder.
   std::vector<std::uint8_t> take_frame();
 
   /// Discards the pending frame without emitting it (error recovery).
@@ -104,7 +102,7 @@ class EventBatchBuilder {
 
 /// Accumulates (subscription key, event) deliveries into one pending
 /// kDeliveryBatch frame. Same contract as EventBatchBuilder; a single
-/// delivery degenerates to a plain kDelivery frame.
+/// delivery is written in the run's kDelivery form.
 class DeliveryBatchBuilder {
  public:
   void append(std::uint64_t key, const Event& event);

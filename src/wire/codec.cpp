@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "profile/predicate.hpp"
+#include "wire/batch.hpp"
 
 namespace genas::wire {
 
@@ -255,41 +256,6 @@ SchemaPtr decode_schema(Reader& r) {
   });
 }
 
-void encode_event(Writer& w, const Event& event) {
-  const std::vector<DomainIndex>& indices = event.indices();
-  w.u32(static_cast<std::uint32_t>(indices.size()));
-  for (const DomainIndex index : indices) {
-    w.u64(static_cast<std::uint64_t>(index));
-  }
-  w.i64(event.time());
-}
-
-Event decode_event(Reader& r, const SchemaPtr& schema) {
-  return as_parse([&] {
-    GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
-                  "event decoding requires a schema");
-    const std::uint32_t attributes = r.count(r.u32(), 8);
-    if (attributes != schema->attribute_count()) {
-      parse_fail("event attribute count " + std::to_string(attributes) +
-                 " does not match schema (" +
-                 std::to_string(schema->attribute_count()) + ")");
-    }
-    std::vector<DomainIndex> indices;
-    indices.reserve(attributes);
-    for (std::uint32_t a = 0; a < attributes; ++a) {
-      const std::uint64_t raw = r.u64();
-      const std::int64_t domain_size = schema->attribute(a).domain.size();
-      if (raw >= static_cast<std::uint64_t>(domain_size)) {
-        parse_fail("event index " + std::to_string(raw) +
-                   " outside domain of '" + schema->attribute(a).name + "'");
-      }
-      indices.push_back(static_cast<DomainIndex>(raw));
-    }
-    const Timestamp time = r.i64();
-    return Event::from_indices(schema, std::move(indices), time);
-  });
-}
-
 void encode_profile(Writer& w, const Profile& profile) {
   const std::vector<Predicate>& predicates = profile.predicates();
   w.u32(static_cast<std::uint32_t>(predicates.size()));
@@ -452,13 +418,6 @@ std::vector<std::uint8_t> frame_schema(const Schema& schema) {
   return end_frame(w, at);
 }
 
-std::vector<std::uint8_t> frame_event(const Event& event) {
-  Writer w;
-  const std::size_t at = begin_frame(w, MessageType::kEvent);
-  encode_event(w, event);
-  return end_frame(w, at);
-}
-
 std::vector<std::uint8_t> frame_profile(const Profile& profile) {
   Writer w;
   const std::size_t at = begin_frame(w, MessageType::kProfile);
@@ -504,15 +463,6 @@ std::vector<std::uint8_t> frame_composite_firing(std::uint64_t key,
   const std::size_t at = begin_frame(w, MessageType::kCompositeFiring);
   w.u64(key);
   w.i64(time);
-  return end_frame(w, at);
-}
-
-std::vector<std::uint8_t> frame_delivery(std::uint64_t key,
-                                         const Event& event) {
-  Writer w;
-  const std::size_t at = begin_frame(w, MessageType::kDelivery);
-  w.u64(key);
-  encode_event(w, event);
   return end_frame(w, at);
 }
 
@@ -597,12 +547,13 @@ std::vector<std::uint8_t> frame_stats_snapshot(
 
 namespace {
 
-/// One packed batch element: attr_count * u64 index + i64 time, no
-/// per-event count prefix (the schema supplies it for the whole batch).
-Event decode_packed_event(Reader& r, const SchemaPtr& schema) {
+/// One entry's index run — attr_count * u64 domain index, then i64
+/// timestamp — validated against the schema, with the index storage drawn
+/// from `arena`. This is the one element decoder: every event and delivery
+/// frame, single or batched, is a sequence of these runs.
+Event decode_index_run(Reader& r, const SchemaPtr& schema, EventArena& arena) {
   const std::size_t attributes = schema->attribute_count();
-  std::vector<DomainIndex> indices;
-  indices.reserve(attributes);
+  std::vector<DomainIndex> indices = arena.checkout(attributes);
   for (std::size_t a = 0; a < attributes; ++a) {
     const std::uint64_t raw = r.u64();
     const std::int64_t domain_size = schema->attribute(a).domain.size();
@@ -614,6 +565,86 @@ Event decode_packed_event(Reader& r, const SchemaPtr& schema) {
   }
   const Timestamp time = r.i64();
   return Event::from_indices(schema, std::move(indices), time);
+}
+
+/// The entry count of an event or delivery run. A batch frame states it
+/// (at least one, bounded by the buffer); a single-entry frame has exactly
+/// one.
+std::uint32_t read_entry_count(Reader& r, bool batch, std::size_t entry_bytes) {
+  if (!batch) return 1;
+  const std::uint32_t entries = r.count(r.u32(), entry_bytes);
+  if (entries == 0) parse_fail("empty batch");
+  return entries;
+}
+
+/// A single-entry frame states the attribute count its batch form leaves
+/// implicit; it must match the schema.
+void expect_attribute_count(Reader& r, const Schema& schema) {
+  const std::uint32_t attributes = r.u32();
+  if (attributes != schema.attribute_count()) {
+    parse_fail("event attribute count " + std::to_string(attributes) +
+               " does not match schema (" +
+               std::to_string(schema.attribute_count()) + ")");
+  }
+}
+
+/// Decodes the payload of a kEvent (`batch` false) or kEventBatch frame to
+/// its end, appending the events to `events` and, when the frame carries a
+/// token run, one token per event to `tokens`. Returns whether it carried
+/// one. All or nothing: on a throw both vectors are truncated back to the
+/// sizes they entered with.
+bool decode_event_run(Reader& r, bool batch, const SchemaPtr& schema,
+                      EventArena& arena, std::vector<Event>& events,
+                      std::vector<std::uint64_t>& tokens) {
+  const std::size_t events_at = events.size();
+  const std::size_t tokens_at = tokens.size();
+  try {
+    return as_parse([&] {
+      GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
+                    "event decoding requires a schema");
+      const std::uint32_t count =
+          read_entry_count(r, batch, schema->attribute_count() * 8 + 8);
+      const std::uint8_t has_tokens = batch ? r.u8() : 0;
+      if (has_tokens > 1) parse_fail("event batch token flag must be 0 or 1");
+      if (!batch) expect_attribute_count(r, *schema);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        events.push_back(decode_index_run(r, schema, arena));
+      }
+      if (has_tokens == 1) {
+        for (std::uint32_t i = 0; i < count; ++i) tokens.push_back(r.u64());
+      }
+      r.expect_done();
+      return has_tokens == 1;
+    });
+  } catch (...) {
+    events.erase(events.begin() + static_cast<std::ptrdiff_t>(events_at),
+                 events.end());
+    tokens.resize(tokens_at);
+    throw;
+  }
+}
+
+/// Decodes the payload of a kDelivery (`batch` false) or kDeliveryBatch
+/// frame to its end.
+DeliveryBatchMsg decode_delivery_run(Reader& r, bool batch,
+                                     const SchemaPtr& schema) {
+  return as_parse([&] {
+    GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
+                  "event decoding requires a schema");
+    const std::uint32_t count =
+        read_entry_count(r, batch, 8 + schema->attribute_count() * 8 + 8);
+    DeliveryBatchMsg msg;
+    msg.keys.reserve(count);
+    msg.events.reserve(count);
+    EventArena fresh;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      msg.keys.push_back(r.u64());
+      if (!batch) expect_attribute_count(r, *schema);
+      msg.events.push_back(decode_index_run(r, schema, fresh));
+    }
+    r.expect_done();
+    return msg;
+  });
 }
 
 MessageType read_header(Reader& r, std::size_t frame_size) {
@@ -651,11 +682,18 @@ Message decode_message(std::span<const std::uint8_t> frame,
       r.expect_done();
       return msg;
     }
-    case MessageType::kEvent: {
-      EventMsg msg{decode_event(r, schema)};
-      r.expect_done();
+    case MessageType::kEvent:
+    case MessageType::kEventBatch: {
+      EventBatchMsg msg;
+      EventArena fresh;
+      decode_event_run(r, type == MessageType::kEventBatch, schema, fresh,
+                       msg.events, msg.tokens);
       return msg;
     }
+    case MessageType::kDelivery:
+    case MessageType::kDeliveryBatch:
+      return decode_delivery_run(r, type == MessageType::kDeliveryBatch,
+                                 schema);
     case MessageType::kProfile: {
       ProfileMsg msg{decode_profile(r, schema)};
       r.expect_done();
@@ -686,12 +724,6 @@ Message decode_message(std::span<const std::uint8_t> frame,
     case MessageType::kCompositeFiring: {
       const std::uint64_t key = r.u64();
       CompositeFiringMsg msg{key, r.i64()};
-      r.expect_done();
-      return msg;
-    }
-    case MessageType::kDelivery: {
-      const std::uint64_t key = r.u64();
-      DeliveryMsg msg{key, decode_event(r, schema)};
       r.expect_done();
       return msg;
     }
@@ -776,52 +808,25 @@ Message decode_message(std::span<const std::uint8_t> frame,
       r.expect_done();
       return msg;
     }
-    case MessageType::kEventBatch: {
-      return as_parse([&]() -> Message {
-        GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
-                      "event decoding requires a schema");
-        const std::size_t event_bytes = schema->attribute_count() * 8 + 8;
-        const std::uint32_t events = r.count(r.u32(), event_bytes);
-        if (events == 0) parse_fail("empty event batch");
-        const std::uint8_t has_tokens = r.u8();
-        if (has_tokens > 1) {
-          parse_fail("event batch token flag must be 0 or 1");
-        }
-        EventBatchMsg msg;
-        msg.events.reserve(events);
-        for (std::uint32_t i = 0; i < events; ++i) {
-          msg.events.push_back(decode_packed_event(r, schema));
-        }
-        if (has_tokens == 1) {
-          msg.tokens.reserve(events);
-          for (std::uint32_t i = 0; i < events; ++i) {
-            msg.tokens.push_back(r.u64());
-          }
-        }
-        r.expect_done();
-        return msg;
-      });
-    }
-    case MessageType::kDeliveryBatch: {
-      return as_parse([&]() -> Message {
-        GENAS_REQUIRE(schema != nullptr, ErrorCode::kInvalidArgument,
-                      "event decoding requires a schema");
-        const std::size_t delivery_bytes = 8 + schema->attribute_count() * 8 + 8;
-        const std::uint32_t deliveries = r.count(r.u32(), delivery_bytes);
-        if (deliveries == 0) parse_fail("empty delivery batch");
-        DeliveryBatchMsg msg;
-        msg.keys.reserve(deliveries);
-        msg.events.reserve(deliveries);
-        for (std::uint32_t i = 0; i < deliveries; ++i) {
-          msg.keys.push_back(r.u64());
-          msg.events.push_back(decode_packed_event(r, schema));
-        }
-        r.expect_done();
-        return msg;
-      });
-    }
   }
   parse_fail("unreachable message type");
+}
+
+std::size_t decode_event_batch(std::span<const std::uint8_t> frame,
+                               const SchemaPtr& schema, EventArena& arena,
+                               std::vector<Event>& events,
+                               std::vector<std::uint64_t>& tokens) {
+  Reader r(frame);
+  const MessageType type = read_header(r, frame.size());
+  if (type != MessageType::kEvent && type != MessageType::kEventBatch) {
+    parse_fail("decode_event_batch requires a kEvent or kEventBatch frame");
+  }
+  const std::size_t events_at = events.size();
+  if (!decode_event_run(r, type == MessageType::kEventBatch, schema, arena,
+                        events, tokens)) {
+    tokens.insert(tokens.end(), events.size() - events_at, 0);
+  }
+  return events.size() - events_at;
 }
 
 }  // namespace genas::wire

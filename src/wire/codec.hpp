@@ -24,7 +24,12 @@
 //   schema       u32 attr_count, then per attribute: str name, u8 kind,
 //                int: i64 lo, i64 hi | real: f64 lo, f64 hi, f64 resolution |
 //                cat: u32 count, count * str
-//   event        u32 index_count, count * u64 domain index, i64 timestamp
+//   event        u32 attr_count, attr_count * u64 domain index, i64
+//                timestamp — the single-event form of an eventbatch: the
+//                same index run, with the attribute count stated in place of
+//                the event count and token flag. Builders emit it for a run
+//                of one token-free event; decoders return it as a one-event
+//                EventBatchMsg.
 //   profile      u32 predicate_count, then per predicate: u32 attribute,
 //                u8 op, u32 interval_count, count * (i64 lo, i64 hi)
 //   subscribe    u64 subscription key, profile payload
@@ -36,8 +41,11 @@
 //                kMaxCompositeDepth)
 //   cunsubscribe u64 subscription key
 //   cfiring      u64 subscription key, i64 completion timestamp
-//   delivery     u64 subscription key, event payload (server -> client:
-//                a notification for the client's subscription `key`)
+//   delivery     u64 subscription key, u32 attr_count, then the same index
+//                run as an event — the single-entry form of a
+//                deliverybatch (server -> client: a notification for the
+//                client's subscription `key`), decoded as a one-entry
+//                DeliveryBatchMsg
 //   flush        u64 token (client -> server: barrier request — the server
 //                processes it after every earlier frame on the connection,
 //                drains/flushes buffered composite state, and replies)
@@ -232,8 +240,6 @@ std::vector<std::uint8_t> end_frame(Writer& w, std::size_t length_at);
 // Payload codecs (no frame header).
 void encode_schema(Writer& w, const Schema& schema);
 SchemaPtr decode_schema(Reader& r);
-void encode_event(Writer& w, const Event& event);
-Event decode_event(Reader& r, const SchemaPtr& schema);
 void encode_profile(Writer& w, const Profile& profile);
 Profile decode_profile(Reader& r, const SchemaPtr& schema);
 /// Pre-order expression encoding; every leaf must be a profile leaf
@@ -244,7 +250,6 @@ CompositeExprPtr decode_composite(Reader& r, const SchemaPtr& schema);
 
 // Framed messages (header + payload, ready for a link).
 std::vector<std::uint8_t> frame_schema(const Schema& schema);
-std::vector<std::uint8_t> frame_event(const Event& event);
 std::vector<std::uint8_t> frame_profile(const Profile& profile);
 std::vector<std::uint8_t> frame_subscribe(std::uint64_t key,
                                           const Profile& profile);
@@ -254,8 +259,6 @@ std::vector<std::uint8_t> frame_composite_subscribe(std::uint64_t key,
 std::vector<std::uint8_t> frame_composite_unsubscribe(std::uint64_t key);
 std::vector<std::uint8_t> frame_composite_firing(std::uint64_t key,
                                                  Timestamp time);
-std::vector<std::uint8_t> frame_delivery(std::uint64_t key,
-                                         const Event& event);
 std::vector<std::uint8_t> frame_flush(std::uint64_t token);
 std::vector<std::uint8_t> frame_flush_done(std::uint64_t token);
 /// Wraps one complete inner frame in an at-least-once envelope; the inner
@@ -269,24 +272,23 @@ std::vector<std::uint8_t> frame_hello_ack(bool resumed,
                                           std::uint64_t publish_watermark);
 std::vector<std::uint8_t> frame_stats_request();
 std::vector<std::uint8_t> frame_stats_snapshot(const obs::StatsSnapshot& stats);
-/// Frames a run of events sharing one schema as a kEventBatch. `tokens`,
-/// when non-empty, must be one dedup token per event; an all-zero token run
-/// is omitted from the wire. A single token-free event degenerates to a
-/// plain kEvent frame (byte-identical to the unbatched path). Empty input
+/// Frames a run of events sharing one schema — the one event encoder; a
+/// single event is a run of one (`frame_event_batch({&event, 1})`).
+/// `tokens`, when non-empty, must be one dedup token per event; an all-zero
+/// token run is omitted from the wire. A run of one token-free event is
+/// written in its kEvent form, anything else as a kEventBatch. Empty input
 /// is an error — there is no empty batch frame.
 std::vector<std::uint8_t> frame_event_batch(
     std::span<const Event> events, std::span<const std::uint64_t> tokens = {});
-/// Frames a run of (subscription key, event) deliveries as a
-/// kDeliveryBatch; a single delivery degenerates to a plain kDelivery.
+/// Frames a run of (subscription key, event) deliveries — the one delivery
+/// encoder; a single delivery is written in its kDelivery form, longer runs
+/// as a kDeliveryBatch.
 std::vector<std::uint8_t> frame_delivery_batch(
     std::span<const std::uint64_t> keys, std::span<const Event> events);
 
 /// Decoded frame contents.
 struct SchemaMsg {
   SchemaPtr schema;
-};
-struct EventMsg {
-  Event event;
 };
 struct ProfileMsg {
   Profile profile;
@@ -308,10 +310,6 @@ struct CompositeUnsubscribeMsg {
 struct CompositeFiringMsg {
   std::uint64_t key;
   Timestamp time;
-};
-struct DeliveryMsg {
-  std::uint64_t key;
-  Event event;
 };
 struct FlushMsg {
   std::uint64_t token;
@@ -340,22 +338,23 @@ struct StatsRequestMsg {};
 struct StatsSnapshotMsg {
   obs::StatsSnapshot stats;
 };
+/// A kEvent (one event) or kEventBatch frame.
 struct EventBatchMsg {
   std::vector<Event> events;
   /// One dedup token per event, or empty when the frame carried none.
   std::vector<std::uint64_t> tokens;
 };
+/// A kDelivery (one entry) or kDeliveryBatch frame.
 struct DeliveryBatchMsg {
   std::vector<std::uint64_t> keys;  ///< one subscription key per event
   std::vector<Event> events;
 };
 using Message =
-    std::variant<SchemaMsg, EventMsg, ProfileMsg, SubscribeMsg, UnsubscribeMsg,
+    std::variant<SchemaMsg, ProfileMsg, SubscribeMsg, UnsubscribeMsg,
                  CompositeSubscribeMsg, CompositeUnsubscribeMsg,
-                 CompositeFiringMsg, DeliveryMsg, FlushMsg, FlushDoneMsg,
-                 LinkFrameMsg, LinkAckMsg, HelloMsg, HelloAckMsg,
-                 StatsRequestMsg, StatsSnapshotMsg, EventBatchMsg,
-                 DeliveryBatchMsg>;
+                 CompositeFiringMsg, FlushMsg, FlushDoneMsg, LinkFrameMsg,
+                 LinkAckMsg, HelloMsg, HelloAckMsg, StatsRequestMsg,
+                 StatsSnapshotMsg, EventBatchMsg, DeliveryBatchMsg>;
 
 /// Frame type without decoding the payload; throws Error{kParse} on a
 /// malformed header.

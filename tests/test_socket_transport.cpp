@@ -62,11 +62,12 @@ TEST(SocketChannel, FramesSurviveArbitrarySplitsAndCoalescing) {
   std::optional<SocketChannel> server = listener.accept(5000ms);
   ASSERT_TRUE(server.has_value());
 
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 40}, {"humidity", 9}, {"radiation", 1}});
   const std::vector<std::vector<std::uint8_t>> frames = {
       wire::frame_schema(*schema),
       wire::frame_subscribe(1, parse_profile(schema, "temperature >= 35")),
-      wire::frame_event(Event::from_pairs(
-          schema, {{"temperature", 40}, {"humidity", 9}, {"radiation", 1}})),
+      wire::frame_event_batch({&event, 1}),
       wire::frame_flush(7),
   };
 
@@ -353,6 +354,93 @@ TEST(BrokerServerSocket, ReusingALiveKeyIsAProtocolError) {
   EXPECT_NE(server.first_error(), "");
   EXPECT_EQ(broker.subscription_count(), 0u);
 
+  server.stop();
+}
+
+/// Reads frames until the kFlushDone for `token`, returning how many
+/// deliveries arrived before it (both delivery frame types).
+std::size_t deliveries_until_flush_done(SocketChannel& channel,
+                                        const SchemaPtr& schema,
+                                        std::uint64_t token) {
+  std::size_t deliveries = 0;
+  for (;;) {
+    std::optional<std::vector<std::uint8_t>> frame = channel.read_frame();
+    if (!frame) {
+      ADD_FAILURE() << "connection closed before the flush completed";
+      return deliveries;
+    }
+    const wire::Message message = wire::decode_message(*frame, schema);
+    if (const auto* run = std::get_if<wire::DeliveryBatchMsg>(&message)) {
+      deliveries += run->keys.size();
+    } else if (const auto* done = std::get_if<wire::FlushDoneMsg>(&message)) {
+      if (done->token == token) return deliveries;
+    }
+  }
+}
+
+// Client publishes of either event frame type go through one publish path;
+// dedup tokens stay server-assigned, so a bare run that carries them — or a
+// sequenced envelope that is not exactly one event — is a protocol error
+// that drops only the offending connection.
+TEST(BrokerServerSocket, BareEventRunsPublishAndClientTokensAreRejected) {
+  const SchemaPtr schema = testutil::example1_schema();
+  Broker broker(schema);
+  BrokerServer server(broker);
+  server.start();
+  const auto protocol_errors = [&] {
+    return server.metrics().snapshot().value(
+        "genas_server_errors_total{category=\"protocol\"}");
+  };
+  std::vector<Event> events;
+  for (int i = 0; i < 3; ++i) {
+    events.push_back(Event::from_pairs(
+        schema, {{"temperature", 40 + i}, {"humidity", 9}, {"radiation", 1}},
+        i + 1));
+  }
+
+  SocketChannel good = SocketChannel::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(good.read_frame().has_value());  // handshake
+  good.write_frame(
+      wire::frame_subscribe(1, parse_profile(schema, "temperature >= 35")));
+  const std::vector<std::uint8_t> run = wire::frame_event_batch(events);
+  ASSERT_EQ(wire::peek_type(run), wire::MessageType::kEventBatch);
+  good.write_frame(run);
+  good.write_frame(wire::frame_flush(1));
+  EXPECT_EQ(deliveries_until_flush_done(good, schema, 1), 3u);
+
+  {
+    SocketChannel tokened =
+        SocketChannel::connect_to("127.0.0.1", server.port());
+    ASSERT_TRUE(tokened.read_frame().has_value());
+    tokened.write_frame(wire::frame_event_batch(
+        events, std::vector<std::uint64_t>{11, 12, 13}));
+    ASSERT_TRUE(eventually([&] { return protocol_errors() == 1; }));
+    // The server closed this connection without publishing the run.
+    EXPECT_FALSE(tokened.read_frame(1000ms).has_value());
+  }
+
+  {
+    SocketChannel sequenced =
+        SocketChannel::connect_to("127.0.0.1", server.port());
+    ASSERT_TRUE(sequenced.read_frame().has_value());
+    sequenced.write_frame(wire::frame_hello(0));
+    ASSERT_TRUE(sequenced.read_frame().has_value());  // hello ack
+    sequenced.write_frame(wire::frame_link(1, run));  // three events
+    ASSERT_TRUE(eventually([&] { return protocol_errors() == 2; }));
+    EXPECT_FALSE(sequenced.read_frame(1000ms).has_value());
+  }
+
+  // The well-behaved client is still served, and neither rejected frame
+  // reached the broker.
+  good.write_frame(wire::frame_event_batch({&events[0], 1}));
+  good.write_frame(wire::frame_flush(2));
+  EXPECT_EQ(deliveries_until_flush_done(good, schema, 2), 1u);
+  EXPECT_EQ(broker.counters().events_published, 4u);
+  EXPECT_EQ(server.metrics().snapshot().value(
+                "genas_server_errors_total{category=\"parse\"}"),
+            0);
+
+  good.shutdown();
   server.stop();
 }
 

@@ -1,8 +1,9 @@
-// Tests for the batched link frames (wire/batch): encode/decode oracles for
+// Tests for event runs on the wire (wire/batch): encode/decode oracles for
 // kEventBatch / kDeliveryBatch, the arena-backed zero-allocation decoder,
-// single-element degeneration to the legacy frames, and the malformed-input
-// paths — truncation sweeps, byte flips, count inflation, and corrupt
-// batches nested inside kLinkFrame envelopes — mirroring test_wire_codec.
+// the count-1 kEvent / kDelivery forms pinned to golden bytes, and the
+// malformed-input paths — truncation sweeps, byte flips, count inflation,
+// all-or-nothing decoding, and corrupt batches nested inside kLinkFrame
+// envelopes — mirroring test_wire_codec.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,6 +80,21 @@ Event make_event(const SchemaPtr& schema, std::int64_t temperature,
                {"radiation", 3}}, time);
 }
 
+/// Golden bytes of the count-1 kEvent frame for make_event(schema, t, time)
+/// (humidity 50, radiation 3) under example1_schema, assembled by hand from
+/// the frame layout in wire/codec.hpp.
+Frame golden_event_frame(std::uint8_t temperature_index, std::uint8_t time) {
+  return {
+      0x57, 0x47, 0x01, 0x02,  // magic "GW", version 1, kEvent (2)
+      0x24, 0x00, 0x00, 0x00,  // payload length 36
+      0x03, 0x00, 0x00, 0x00,  // u32 attribute count 3
+      temperature_index, 0, 0, 0, 0, 0, 0, 0,  // u64 temperature index
+      0x32, 0, 0, 0, 0, 0, 0, 0,  // u64 humidity index 50
+      0x02, 0, 0, 0, 0, 0, 0, 0,  // u64 radiation index 2 (value 3)
+      time, 0, 0, 0, 0, 0, 0, 0,  // i64 timestamp
+  };
+}
+
 std::vector<Event> make_events(const SchemaPtr& schema, std::size_t count) {
   std::vector<Event> events;
   events.reserve(count);
@@ -88,6 +104,29 @@ std::vector<Event> make_events(const SchemaPtr& schema, std::size_t count) {
                    static_cast<Timestamp>(i + 1)));
   }
   return events;
+}
+
+bool is_event_run(const Frame& frame) {
+  const wire::MessageType type = wire::peek_type(frame);
+  return type == wire::MessageType::kEvent ||
+         type == wire::MessageType::kEventBatch;
+}
+
+/// The arena decoder must reject `frame` with Error{kParse} and append
+/// nothing: outputs that entered non-empty keep exactly their entry sizes.
+void expect_arena_rejects(const Frame& frame, const SchemaPtr& schema,
+                          const std::string& context) {
+  wire::EventArena arena;
+  std::vector<Event> events = make_events(schema, 2);
+  std::vector<std::uint64_t> tokens = {7, 8};
+  try {
+    wire::decode_event_batch(frame, schema, arena, events, tokens);
+    ADD_FAILURE() << context << ": arena decode accepted a malformed frame";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse) << context << ": " << e.what();
+  }
+  EXPECT_EQ(events.size(), 2u) << context << ": partial events kept";
+  EXPECT_EQ(tokens.size(), 2u) << context << ": partial tokens kept";
 }
 
 TEST(WireBatch, EventBatchRoundTrips) {
@@ -134,15 +173,18 @@ TEST(WireBatch, AllZeroTokensElideTheTokenRun) {
 }
 
 TEST(WireBatch, SingleEventDegeneratesToTheLegacyFrame) {
-  // A batch of one token-free event must be byte-identical to frame_event:
-  // link_batch_max = 1 then reproduces the pre-batching wire traffic
-  // exactly, and old decoders keep understanding light traffic.
+  // A run of one token-free event is written in its kEvent form, pinned
+  // here to golden bytes: link_batch_max = 1 then puts exactly this frame
+  // on the wire per event, and decoders of the kEvent form keep
+  // understanding light traffic.
   const SchemaPtr schema = testutil::example1_schema();
   const Event event = make_event(schema, 21, 99);
+  const Frame golden = golden_event_frame(0x33, 0x63);  // 21 - (-30), 99
 
   wire::EventBatchBuilder builder;
   builder.append(event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_event(event));
+  EXPECT_EQ(builder.take_frame(), golden);
+  EXPECT_EQ(wire::frame_event_batch({&event, 1}), golden);
 
   // With a nonzero token there is no legacy equivalent; the builder must
   // emit a kEventBatch that round-trips the token.
@@ -160,9 +202,23 @@ TEST(WireBatch, SingleDeliveryDegeneratesToTheLegacyFrame) {
   const SchemaPtr schema = testutil::example1_schema();
   const Event event = make_event(schema, -3, 5);
 
+  // The run's kDelivery form, pinned to golden bytes.
+  const Frame golden = {
+      0x57, 0x47, 0x01, 0x09,  // magic "GW", version 1, kDelivery (9)
+      0x2C, 0x00, 0x00, 0x00,  // payload length 44
+      0x0B, 0, 0, 0, 0, 0, 0, 0,  // u64 subscription key 11
+      0x03, 0x00, 0x00, 0x00,     // u32 attribute count 3
+      0x1B, 0, 0, 0, 0, 0, 0, 0,  // u64 temperature index 27 (value -3)
+      0x32, 0, 0, 0, 0, 0, 0, 0,  // u64 humidity index 50
+      0x02, 0, 0, 0, 0, 0, 0, 0,  // u64 radiation index 2 (value 3)
+      0x05, 0, 0, 0, 0, 0, 0, 0,  // i64 timestamp 5
+  };
+
   wire::DeliveryBatchBuilder builder;
   builder.append(11, event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_delivery(11, event));
+  EXPECT_EQ(builder.take_frame(), golden);
+  const std::uint64_t key = 11;
+  EXPECT_EQ(wire::frame_delivery_batch({&key, 1}, {&event, 1}), golden);
 }
 
 TEST(WireBatch, BuilderResetDiscardsThePendingFrame) {
@@ -177,7 +233,7 @@ TEST(WireBatch, BuilderResetDiscardsThePendingFrame) {
 
   // The builder is reusable after a reset, with no leftover tokens.
   builder.append(event);
-  EXPECT_EQ(builder.take_frame(), wire::frame_event(event));
+  EXPECT_EQ(builder.take_frame(), golden_event_frame(0x3C, 0x01));  // 30, 1
 }
 
 TEST(WireBatch, DeliveryBatchRoundTrips) {
@@ -235,6 +291,27 @@ TEST(WireBatch, ArenaDecoderMatchesTheGenericDecoder) {
     arena.recycle_all(events);
   }
   EXPECT_GT(arena.spare(), 0u);
+
+  // A run of one token-free event travels in its kEvent form; the arena
+  // decoder takes it like any other run and agrees with decode_message.
+  const Event single = make_event(schema, 12, 34);
+  const Frame frame = wire::frame_event_batch({&single, 1});
+  ASSERT_EQ(wire::peek_type(frame), wire::MessageType::kEvent);
+  events.clear();
+  tokens.clear();
+  ASSERT_EQ(wire::decode_event_batch(frame, schema, arena, events, tokens), 1u);
+  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(tokens.size(), 1u);
+  EXPECT_EQ(tokens[0], 0u);
+  const wire::Message message = wire::decode_message(frame, schema);
+  const auto* generic = std::get_if<wire::EventBatchMsg>(&message);
+  ASSERT_NE(generic, nullptr);
+  ASSERT_EQ(generic->events.size(), 1u);
+  EXPECT_TRUE(generic->tokens.empty());
+  EXPECT_EQ(events[0].indices(), generic->events[0].indices());
+  EXPECT_EQ(events[0].time(), generic->events[0].time());
+  EXPECT_EQ(events[0].indices(), single.indices());
+  EXPECT_EQ(events[0].time(), single.time());
 }
 
 TEST(WireBatch, WarmArenaDecodesWithZeroAllocations) {
@@ -274,29 +351,32 @@ TEST(WireBatch, EveryTruncationIsRejected) {
   const std::vector<Frame> frames = {
       wire::frame_event_batch(events),
       wire::frame_event_batch(events, tokens),
+      wire::frame_event_batch(std::span(events).first(1)),
       wire::frame_delivery_batch(keys, events),
   };
-  wire::EventArena arena;
-  std::vector<Event> scratch;
-  std::vector<std::uint64_t> token_scratch;
   for (const Frame& frame : frames) {
     for (std::size_t cut = 0; cut < frame.size(); ++cut) {
       const Frame truncated(frame.begin(),
                             frame.begin() + static_cast<std::ptrdiff_t>(cut));
       expect_parse_failure(truncated, schema,
                            "truncated at " + std::to_string(cut));
-      if (wire::peek_type(frame) == wire::MessageType::kEventBatch) {
-        scratch.clear();
-        token_scratch.clear();
-        EXPECT_THROW(wire::decode_event_batch(truncated, schema, arena,
-                                              scratch, token_scratch),
-                     Error)
-            << "arena decode accepted truncation at " << cut;
+      if (is_event_run(frame)) {
+        expect_arena_rejects(truncated, schema,
+                             "truncated at " + std::to_string(cut));
       }
     }
     Frame padded = frame;
     padded.push_back(0);
     expect_parse_failure(padded, schema, "trailing garbage");
+    // The same garbage inside the payload, with a length field that covers
+    // it: every entry decodes before the extra byte is found, and the
+    // arena decode must still append nothing.
+    Frame overlong = padded;
+    ++overlong[4];  // payload length LSB (no carry at these sizes)
+    expect_parse_failure(overlong, schema, "trailing garbage in payload");
+    if (is_event_run(frame)) {
+      expect_arena_rejects(overlong, schema, "trailing garbage in payload");
+    }
   }
 }
 
@@ -329,13 +409,12 @@ TEST(WireBatch, ByteFlipFuzzNeverCrashes) {
         EXPECT_EQ(e.code(), ErrorCode::kParse)
             << "byte " << at << ": " << e.what();
       }
-      bool still_event_batch = false;
+      bool still_event_run = false;
       try {
-        still_event_batch =
-            wire::peek_type(corrupted) == wire::MessageType::kEventBatch;
+        still_event_run = is_event_run(corrupted);
       } catch (const Error&) {
       }
-      if (still_event_batch) {
+      if (still_event_run) {
         scratch.clear();
         token_scratch.clear();
         bool arena_ok = true;
@@ -419,12 +498,16 @@ TEST(WireBatch, OutOfDomainEntriesAreRejected) {
   frame[at] = 0xFF;
   frame[at + 1] = 0xFF;
   expect_parse_failure(frame, schema, "out-of-domain index");
-  wire::EventArena arena;
-  std::vector<Event> scratch;
-  std::vector<std::uint64_t> token_scratch;
-  EXPECT_THROW(
-      wire::decode_event_batch(frame, schema, arena, scratch, token_scratch),
-      Error);
+  expect_arena_rejects(frame, schema, "out-of-domain index");
+
+  // The last entry out of domain: every earlier entry has decoded by the
+  // time it is found, and still none may be kept.
+  Frame last = wire::frame_event_batch(events);
+  const std::size_t last_at = wire::kFrameHeaderSize + 5 + 2 * stride;
+  last[last_at] = 0xFF;
+  last[last_at + 1] = 0xFF;
+  expect_parse_failure(last, schema, "out-of-domain last entry");
+  expect_arena_rejects(last, schema, "out-of-domain last entry");
 }
 
 TEST(WireBatch, NestedLinkFrameProbesAndDecodes) {

@@ -23,6 +23,16 @@ namespace {
 
 using Frame = std::vector<std::uint8_t>;
 
+/// A count-1 event run: the kEvent frame.
+Frame frame_one_event(const Event& event) {
+  return wire::frame_event_batch({&event, 1});
+}
+
+/// A count-1 delivery run: the kDelivery frame.
+Frame frame_one_delivery(std::uint64_t key, const Event& event) {
+  return wire::frame_delivery_batch({&key, 1}, {&event, 1});
+}
+
 /// Decode must reject the buffer with Error{kParse} specifically.
 void expect_parse_failure(const Frame& frame, const SchemaPtr& schema,
                           const std::string& context) {
@@ -97,11 +107,14 @@ TEST(WireCodec, RandomizedProfileAndEventRoundTrips) {
 
     for (int e = 0; e < 50; ++e) {
       const Event original = random_event(schema, rng);
-      const Frame frame = wire::frame_event(original);
+      const Frame frame = wire::frame_event_batch({&original, 1});
       EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kEvent);
       const wire::Message decoded = wire::decode_message(frame, schema);
-      ASSERT_TRUE(std::holds_alternative<wire::EventMsg>(decoded));
-      const Event& roundtrip = std::get<wire::EventMsg>(decoded).event;
+      ASSERT_TRUE(std::holds_alternative<wire::EventBatchMsg>(decoded));
+      const auto& run = std::get<wire::EventBatchMsg>(decoded);
+      ASSERT_EQ(run.events.size(), 1u);
+      EXPECT_TRUE(run.tokens.empty());
+      const Event& roundtrip = run.events.front();
       EXPECT_EQ(original.indices(), roundtrip.indices());
       EXPECT_EQ(original.time(), roundtrip.time());
     }
@@ -189,15 +202,15 @@ TEST(WireCodec, EveryTruncationIsRejected) {
   const SchemaPtr schema = testutil::example1_schema();
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 20},
-                                                   {"humidity", 50},
-                                                   {"radiation", 3}})),
+      frame_one_event(Event::from_pairs(schema, {{"temperature", 20},
+                                                 {"humidity", 50},
+                                                 {"radiation", 3}})),
       wire::frame_profile(parse_profile(schema, "temperature >= 35")),
       wire::frame_subscribe(7, parse_profile(schema, "humidity <= 5")),
       wire::frame_unsubscribe(7),
-      wire::frame_delivery(11, Event::from_pairs(schema, {{"temperature", -5},
-                                                          {"humidity", 40},
-                                                          {"radiation", 9}})),
+      frame_one_delivery(11, Event::from_pairs(schema, {{"temperature", -5},
+                                                        {"humidity", 40},
+                                                        {"radiation", 9}})),
       wire::frame_flush(3),
       wire::frame_flush_done(3),
       wire::frame_link(17, wire::frame_unsubscribe(7)),
@@ -247,14 +260,16 @@ TEST(WireCodec, StreamingFramesRoundTrip) {
   const Event event = Event::from_pairs(
       schema, {{"temperature", 42}, {"humidity", 91}, {"radiation", 8}}, 17);
 
-  const wire::Message delivery =
-      wire::decode_message(wire::frame_delivery(0xDEADBEEFCAFEULL, event),
-                           schema);
-  ASSERT_TRUE(std::holds_alternative<wire::DeliveryMsg>(delivery));
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).key, 0xDEADBEEFCAFEULL);
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).event.indices(),
-            event.indices());
-  EXPECT_EQ(std::get<wire::DeliveryMsg>(delivery).event.time(), event.time());
+  const Frame delivery_frame = frame_one_delivery(0xDEADBEEFCAFEULL, event);
+  EXPECT_EQ(wire::peek_type(delivery_frame), wire::MessageType::kDelivery);
+  const wire::Message delivery = wire::decode_message(delivery_frame, schema);
+  ASSERT_TRUE(std::holds_alternative<wire::DeliveryBatchMsg>(delivery));
+  const auto& run = std::get<wire::DeliveryBatchMsg>(delivery);
+  ASSERT_EQ(run.keys.size(), 1u);
+  ASSERT_EQ(run.events.size(), 1u);
+  EXPECT_EQ(run.keys.front(), 0xDEADBEEFCAFEULL);
+  EXPECT_EQ(run.events.front().indices(), event.indices());
+  EXPECT_EQ(run.events.front().time(), event.time());
 
   const wire::Message flush =
       wire::decode_message(wire::frame_flush(0xFFFFFFFFFFFFFFFFULL), schema);
@@ -276,14 +291,14 @@ TEST(WireCodec, ProbeReportsNeedMoreForEveryPrefixOfValidFrames) {
   const SchemaPtr schema = testutil::example1_schema();
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 20},
-                                                   {"humidity", 50},
-                                                   {"radiation", 3}})),
+      frame_one_event(Event::from_pairs(schema, {{"temperature", 20},
+                                                 {"humidity", 50},
+                                                 {"radiation", 3}})),
       wire::frame_subscribe(7, parse_profile(schema, "humidity <= 5")),
       wire::frame_unsubscribe(7),
-      wire::frame_delivery(9, Event::from_pairs(schema, {{"temperature", 0},
-                                                         {"humidity", 0},
-                                                         {"radiation", 1}})),
+      frame_one_delivery(9, Event::from_pairs(schema, {{"temperature", 0},
+                                                       {"humidity", 0},
+                                                       {"radiation", 1}})),
       wire::frame_flush(1),
       wire::frame_flush_done(1),
       wire::frame_link(9, wire::frame_flush(1)),
@@ -357,10 +372,10 @@ TEST(WireCodec, OutOfDomainPayloadsAreRejected) {
                              .add_integer("extra", 0, 9)
                              .build();
   expect_parse_failure(
-      wire::frame_event(Event::from_pairs(wide, {{"temperature", 199},
-                                                 {"humidity", 0},
-                                                 {"radiation", 1},
-                                                 {"extra", 0}})),
+      frame_one_event(Event::from_pairs(wide, {{"temperature", 199},
+                                               {"humidity", 0},
+                                               {"radiation", 1},
+                                               {"extra", 0}})),
       schema, "event attribute count mismatch");
 
   const SchemaPtr three_wide = SchemaBuilder()
@@ -369,9 +384,9 @@ TEST(WireCodec, OutOfDomainPayloadsAreRejected) {
                                    .add_integer("radiation", 1, 100)
                                    .build();
   expect_parse_failure(
-      wire::frame_event(Event::from_pairs(three_wide, {{"temperature", 199},
-                                                       {"humidity", 0},
-                                                       {"radiation", 1}})),
+      frame_one_event(Event::from_pairs(three_wide, {{"temperature", 199},
+                                                     {"humidity", 0},
+                                                     {"radiation", 1}})),
       schema, "event index outside domain");
   expect_parse_failure(
       wire::frame_profile(parse_profile(three_wide, "temperature >= 150")),
@@ -384,9 +399,9 @@ TEST(WireCodec, ByteFlipFuzzNeverCrashes) {
   const SchemaPtr schema = testutil::example1_schema();
   const std::vector<Frame> frames = {
       wire::frame_schema(*schema),
-      wire::frame_event(Event::from_pairs(schema, {{"temperature", 0},
-                                                   {"humidity", 1},
-                                                   {"radiation", 2}})),
+      frame_one_event(Event::from_pairs(schema, {{"temperature", 0},
+                                                 {"humidity", 1},
+                                                 {"radiation", 2}})),
       wire::frame_subscribe(
           3, parse_profile(schema, "temperature >= 35 && radiation <= 60")),
   };
@@ -412,7 +427,7 @@ TEST(WireCodec, ReliabilityFramesRoundTrip) {
 
   // Link envelope: the nested frame comes back still encoded (dedup before
   // decode), and decoding the inner bytes yields the original message.
-  const Frame inner = wire::frame_event(event);
+  const Frame inner = frame_one_event(event);
   const wire::Message link = wire::decode_message(
       wire::frame_link(0x0123456789ABCDEFULL, inner), schema);
   ASSERT_TRUE(std::holds_alternative<wire::LinkFrameMsg>(link));
@@ -420,8 +435,9 @@ TEST(WireCodec, ReliabilityFramesRoundTrip) {
   EXPECT_EQ(env.sequence, 0x0123456789ABCDEFULL);
   EXPECT_EQ(env.inner, inner);
   const wire::Message nested = wire::decode_message(env.inner, schema);
-  ASSERT_TRUE(std::holds_alternative<wire::EventMsg>(nested));
-  EXPECT_EQ(std::get<wire::EventMsg>(nested).event.indices(),
+  ASSERT_TRUE(std::holds_alternative<wire::EventBatchMsg>(nested));
+  ASSERT_EQ(std::get<wire::EventBatchMsg>(nested).events.size(), 1u);
+  EXPECT_EQ(std::get<wire::EventBatchMsg>(nested).events.front().indices(),
             event.indices());
 
   const wire::Message ack =
@@ -475,7 +491,7 @@ TEST(WireCodec, LinkEnvelopeRejectsCorruptInnerFrames) {
 TEST(WireCodec, ReliabilityFrameByteFlipFuzzNeverCrashes) {
   const SchemaPtr schema = testutil::example1_schema();
   const std::vector<Frame> frames = {
-      wire::frame_link(42, wire::frame_event(Event::from_pairs(
+      wire::frame_link(42, frame_one_event(Event::from_pairs(
                                schema, {{"temperature", 0},
                                         {"humidity", 1},
                                         {"radiation", 2}}))),
