@@ -30,11 +30,8 @@ double AdaptiveController::drift() const {
   if (!baseline_.has_value() || observations_ == 0) return 0.0;
   double worst = 0.0;
   for (AttributeId id = 0; id < schema_->attribute_count(); ++id) {
-    const DiscreteDistribution current =
-        estimator_.attribute(id).estimate(options_.smoothing);
-    const DiscreteDistribution base = baseline_->marginal(id);
-    worst = std::max(worst,
-                     DiscreteDistribution::l1_distance(current, base));
+    worst = std::max(worst, estimator_.attribute(id).l1_distance(
+                                baseline_marginals_[id], options_.smoothing));
   }
   return worst;
 }
@@ -51,7 +48,13 @@ bool AdaptiveController::should_rebuild() const {
 }
 
 void AdaptiveController::mark_rebuilt(const JointDistribution& baseline) {
+  std::vector<DiscreteDistribution> marginals;
+  marginals.reserve(schema_->attribute_count());
+  for (AttributeId id = 0; id < schema_->attribute_count(); ++id) {
+    marginals.push_back(baseline.marginal(id));
+  }
   baseline_ = baseline;
+  baseline_marginals_ = std::move(marginals);
   observations_at_rebuild_ = observations_;
   ++rebuilds_;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dist/estimator.hpp"
 #include "dist/joint.hpp"
@@ -47,7 +48,9 @@ class AdaptiveController {
   JointDistribution estimate() const;
 
   /// Max-over-attributes L1 distance between the estimate and the baseline
-  /// the current tree was built for; 0 before any baseline is set.
+  /// the current tree was built for; 0 before any baseline is set. Does not
+  /// allocate: an adaptive broker calls it on every publish past the
+  /// cooldown.
   double drift() const;
 
   /// True when drift exceeds the threshold and enough observations have
@@ -72,6 +75,8 @@ class AdaptiveController {
   AdaptiveOptions options_;
   SchemaEstimator estimator_;
   std::optional<JointDistribution> baseline_;
+  /// The baseline's per-attribute marginals, cached for drift().
+  std::vector<DiscreteDistribution> baseline_marginals_;
   std::uint64_t observations_ = 0;
   std::uint64_t observations_at_rebuild_ = 0;
   std::uint64_t rebuilds_ = 0;

@@ -1,5 +1,7 @@
 #include "dist/estimator.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace genas {
@@ -39,6 +41,27 @@ DiscreteDistribution HistogramEstimator::estimate(double smoothing) const {
     weights[i] = counts_[i] / scale_ + smoothing;
   }
   return DiscreteDistribution::from_weights(std::move(weights));
+}
+
+double HistogramEstimator::l1_distance(const DiscreteDistribution& other,
+                                       double smoothing) const {
+  GENAS_REQUIRE(smoothing >= 0.0, ErrorCode::kInvalidArgument,
+                "smoothing must be non-negative");
+  GENAS_REQUIRE(observations_ > 0 || smoothing > 0.0, ErrorCode::kState,
+                "cannot estimate from an empty histogram without smoothing");
+  GENAS_REQUIRE(other.size() == static_cast<std::int64_t>(counts_.size()),
+                ErrorCode::kInvalidArgument,
+                "L1 distance needs equal domain sizes");
+  // The weights and their total exactly as estimate() forms them; each
+  // weight is recomputed rather than stored.
+  double total = 0.0;
+  for (const double count : counts_) total += count / scale_ + smoothing;
+  double distance = 0.0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const double p = (counts_[i] / scale_ + smoothing) / total;
+    distance += std::abs(p - other.pmf(static_cast<DomainIndex>(i)));
+  }
+  return distance;
 }
 
 void HistogramEstimator::reset() noexcept {

@@ -34,6 +34,12 @@ class HistogramEstimator {
   /// smoothing is zero (no distribution can be formed).
   DiscreteDistribution estimate(double smoothing) const;
 
+  /// DiscreteDistribution::l1_distance(estimate(smoothing), other), computed
+  /// term by term in the same order (so bit-identical) without allocating
+  /// the estimate. Throws like estimate(), and when sizes differ.
+  double l1_distance(const DiscreteDistribution& other,
+                     double smoothing) const;
+
   void reset() noexcept;
 
  private:

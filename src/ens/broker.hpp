@@ -16,8 +16,12 @@
 //     three shared RMWs per load where the cache costs one.)
 //   * subscribe()/unsubscribe() take the mutation mutex, update the engine,
 //     and bump the snapshot version; the next publish that notices the stale
-//     version rebuilds the snapshot off to the side (under the mutex) and
-//     swaps it in atomically, so a burst of mutations costs one rebuild.
+//     version rebuilds the snapshot under the mutex and swaps it in
+//     atomically, so a burst of mutations costs one rebuild. That rebuild
+//     stalls every publisher: each one sees the stale version and waits on
+//     the mutex until the new snapshot is in place (the tree build alone
+//     takes about 50 ms for 2,000 equality profiles over three attributes,
+//     0.5 s for 10,000, on a 4-vCPU Xeon VM).
 //   * Callbacks are invoked outside the lock, so subscribers may re-enter
 //     the broker (subscribe/unsubscribe/publish) from a callback.
 //   * Consequence of snapshotting: a publish that raced a subscribe may
@@ -27,8 +31,10 @@
 //     subscriptions that are stable across the publish.
 //   * The engine's adaptive loop, when enabled, runs after the lock-free
 //     match: the publish takes the mutation mutex once to observe its
-//     events, and a drift rebuild bumps the snapshot version exactly like a
-//     subscription change. Matching and delivery never wait on it, and the
+//     events, and a drift rebuild (inside that observe step) bumps the
+//     snapshot version exactly like a subscription change. During a drift
+//     rebuild other publishers still match and deliver on the current
+//     snapshot, then block in their own observe step until it ends. The
 //     non-adaptive path takes no lock at all.
 #pragma once
 

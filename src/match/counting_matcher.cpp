@@ -30,9 +30,9 @@ void CountingMatcher::rebuild(const ProfileSet& profiles) {
     index.decomposition = decompose(schema.attribute(a).domain.full(), sets);
     index.postings.resize(index.decomposition.cells.size());
     for (std::size_t cell = 0; cell < index.postings.size(); ++cell) {
-      index.postings[cell].reserve(
-          index.decomposition.cells[cell].accepters.size());
-      for (const std::uint32_t c : index.decomposition.cells[cell].accepters) {
+      const auto accepters = index.decomposition.accepters(cell);
+      index.postings[cell].reserve(accepters.size());
+      for (const std::uint32_t c : accepters) {
         index.postings[cell].push_back(constrained[c]);
       }
     }

@@ -4,11 +4,19 @@
 // most 2p−1 elementary subranges referenced by profiles plus the
 // zero-subdomain D_0 of values no profile refers to (paper §3). Cells are
 // maximal intervals whose accepting-profile sets are identical; the tree
-// builds one local decomposition per node, and the attribute-selectivity
-// measures (A1/A2) use the global decomposition of the full profile set.
+// builds one local decomposition per node, and the counting matcher keeps
+// one global decomposition per attribute.
+//
+// decompose() is a sweep. Each of the k constraint intervals clipped to the
+// universe contributes a start and an end edge; a stable byte-wise radix
+// sort orders the 2k edges in one pass per byte of the universe size (one
+// pass below 256 values); one walk over the sorted edges yields the
+// B ≤ 2k+2 boundaries and every interval's run of elementary segments; and
+// the A accepter entries are written in O(A): O(k·passes + B + A) in all.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -16,19 +24,24 @@
 
 namespace genas {
 
-/// One elementary cell of a decomposition.
-struct Cell {
-  Interval interval;
-  /// Positions (into the caller's constraint list) of constraints whose
-  /// accepted set covers this cell; empty for zero-subdomain cells.
-  std::vector<std::uint32_t> accepters;
-
-  bool is_zero() const noexcept { return accepters.empty(); }
-};
-
 /// Partition of `universe` into maximal same-accepter-set cells.
 struct Decomposition {
-  std::vector<Cell> cells;  // sorted by interval, covering universe exactly
+  std::vector<Interval> cells;  // sorted by interval, covering universe exactly
+  /// CSR: cell i's accepters are accepter_ids[offsets[i], offsets[i + 1]).
+  std::vector<std::uint32_t> offsets;
+  /// Positions (into the caller's constraint list) of the constraints whose
+  /// accepted set covers each cell, ascending within a cell.
+  std::vector<std::uint32_t> accepter_ids;
+
+  std::span<const std::uint32_t> accepters(std::size_t cell) const noexcept {
+    return {accepter_ids.data() + offsets[cell],
+            accepter_ids.data() + offsets[cell + 1]};
+  }
+
+  /// True for zero-subdomain cells (no constraint accepts them).
+  bool is_zero(std::size_t cell) const noexcept {
+    return offsets[cell] == offsets[cell + 1];
+  }
 
   /// Total size of zero cells — d_0 in the paper.
   std::int64_t zero_size() const noexcept;
@@ -47,7 +60,7 @@ struct Decomposition {
 };
 
 /// Computes the decomposition of `universe` induced by the accepted sets of
-/// the given constraints. Accepted sets must be subsets of the universe.
+/// the given constraints. Parts of a set outside the universe are ignored.
 Decomposition decompose(const Interval& universe,
                         const std::vector<const IntervalSet*>& constraints);
 

@@ -1,6 +1,9 @@
 #include "tree/profile_tree.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -23,46 +26,41 @@ std::string_view to_string(ValueOrder order) noexcept {
 
 namespace {
 
-/// Memoization key: (level, alive profile set) with a precomputed hash.
-struct MemoKey {
-  std::size_t level = 0;
-  std::vector<ProfileId> alive;
-
-  friend bool operator==(const MemoKey& a, const MemoKey& b) noexcept {
-    return a.level == b.level && a.alive == b.alive;
-  }
-};
-
-struct ProfileVecHash {
-  std::size_t operator()(const std::vector<ProfileId>& ids) const noexcept {
-    std::uint64_t h = 0x243F6A8885A308D3ULL;
-    for (const ProfileId id : ids) {
-      std::uint64_t x = h ^ (id + 0x9E3779B97F4A7C15ULL);
-      h = splitmix64(x);
+/// Hash of a sorted alive set. Transparent, so a lookup takes a span into
+/// a scratch buffer and only an insert allocates a key. Ids are folded two
+/// per 64-bit word with one multiply each, and the result is finalized with
+/// splitmix64: alive sets run to hundreds of ids, and most lookups hit.
+struct AliveHash {
+  using is_transparent = void;
+  std::size_t operator()(std::span<const ProfileId> ids) const noexcept {
+    constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+    std::uint64_t h = ids.size();
+    std::size_t i = 0;
+    for (; i + 1 < ids.size(); i += 2) {
+      const std::uint64_t word =
+          ids[i] | (static_cast<std::uint64_t>(ids[i + 1]) << 32);
+      h = (std::rotl(h, 5) ^ word) * kMul;
     }
-    return static_cast<std::size_t>(h);
+    if (i < ids.size()) h = (std::rotl(h, 5) ^ ids[i]) * kMul;
+    return static_cast<std::size_t>(splitmix64(h));
   }
 };
 
-struct MemoKeyHash {
-  std::size_t operator()(const MemoKey& key) const noexcept {
-    return ProfileVecHash{}(key.alive) ^ (key.level * 0x9E3779B97F4A7C15ULL);
+struct AliveEqual {
+  using is_transparent = void;
+  bool operator()(std::span<const ProfileId> a,
+                  std::span<const ProfileId> b) const noexcept {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
 };
 
-/// Merges two sorted ProfileId lists into one sorted list.
-std::vector<ProfileId> merge_sorted(const std::vector<ProfileId>& a,
-                                    const std::vector<ProfileId>& b) {
-  std::vector<ProfileId> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
+/// Slots built at one level, keyed by their alive profile set.
+using Memo = std::unordered_map<std::vector<ProfileId>, std::int32_t,
+                                AliveHash, AliveEqual>;
 
 class TreeBuilder {
  public:
-  TreeBuilder(const ProfileSet& profiles, const TreeConfig& config,
-              ProfileTree::Node* /*tag*/ = nullptr)
+  TreeBuilder(const ProfileSet& profiles, const TreeConfig& config)
       : profiles_(profiles), schema_(*profiles.schema()), config_(config) {
     if (config_.event_distribution.has_value()) {
       const JointDistribution& joint = *config_.event_distribution;
@@ -80,82 +78,123 @@ class TreeBuilder {
                   "value order requires an event distribution");
   }
 
-  std::int32_t run(std::vector<ProfileId> alive, std::vector<ProfileTree::Node>& nodes,
+  std::int32_t run(const std::vector<ProfileId>& alive,
+                   std::vector<ProfileTree::Node>& nodes,
                    std::vector<ProfileTree::Leaf>& leaves, TreeBuildStats& stats) {
     nodes_ = &nodes;
     leaves_ = &leaves;
     stats_ = &stats;
     if (alive.empty()) return ProfileTree::kMiss;
-    return build_slot(0, std::move(alive));
+
+    // Each profile's constraint per attribute, looked up once per build.
+    capacity_ = profiles_.capacity();
+    constraints_.assign(schema_.attribute_count() * capacity_, nullptr);
+    for (const ProfileId id : alive) {
+      const Profile& profile = profiles_.profile(id);
+      for (AttributeId a = 0; a < schema_.attribute_count(); ++a) {
+        if (const Predicate* predicate = profile.predicate(a)) {
+          constraints_[a * capacity_ + id] = &predicate->accepted();
+        }
+      }
+    }
+    memo_.resize(order().size() + 1);
+    merged_.resize(order().size());
+    return slot(0, alive);
   }
 
  private:
-  std::int32_t build_slot(std::size_t level, std::vector<ProfileId> alive) {
-    GENAS_CHECK(!alive.empty(), "build_slot requires a non-empty alive set");
-    if (level == order().size()) return build_leaf(std::move(alive));
-
-    MemoKey key{level, std::move(alive)};
-    if (const auto it = memo_.find(key); it != memo_.end()) {
+  /// The subtree for `alive` at `level` (a leaf past the last level):
+  /// shared when an identical one was built before, built otherwise.
+  std::int32_t slot(std::size_t level, std::span<const ProfileId> alive) {
+    Memo& memo = memo_[level];
+    if (const auto it = memo.find(alive); it != memo.end()) {
       ++stats_->memo_hits;
       return it->second;
     }
+    std::vector<ProfileId> key(alive.begin(), alive.end());
+    const std::int32_t built =
+        level == order().size() ? build_leaf(key) : build_node(level, key);
+    memo.emplace(std::move(key), built);
+    return built;
+  }
 
+  std::int32_t build_node(std::size_t level, std::span<const ProfileId> alive) {
     const AttributeId attribute = order()[level];
     const Domain& domain = schema_.attribute(attribute).domain;
 
     // Split the alive set into profiles constraining this attribute and
     // don't-care profiles (which flow into every cell).
+    const IntervalSet* const* constraint_of =
+        constraints_.data() + attribute * capacity_;
     std::vector<ProfileId> constrained_ids;
     std::vector<const IntervalSet*> constraints;
     std::vector<ProfileId> dont_care;
-    for (const ProfileId id : key.alive) {
-      const Predicate* predicate = profiles_.profile(id).predicate(attribute);
-      if (predicate != nullptr) {
+    double total_weight = 0.0;  // of the constraining profiles, for P_p
+    for (const ProfileId id : alive) {
+      if (const IntervalSet* set = constraint_of[id]) {
         constrained_ids.push_back(id);
-        constraints.push_back(&predicate->accepted());
+        constraints.push_back(set);
+        total_weight += profiles_.weight(id);
       } else {
         dont_care.push_back(id);
       }
     }
 
-    const Decomposition decomp = decompose(domain.full(), constraints);
+    Decomposition decomp = decompose(domain.full(), constraints);
     const std::size_t cell_count = decomp.cells.size();
 
     ProfileTree::Node node;
     node.attribute = attribute;
-    node.cells.reserve(cell_count);
     node.child.reserve(cell_count);
 
     CellLayout layout;
-    layout.cells.reserve(cell_count);
     layout.is_edge.reserve(cell_count);
     layout.order_key.reserve(cell_count);
 
-    for (const Cell& cell : decomp.cells) {
-      std::vector<ProfileId> cell_alive = dont_care;
-      if (!cell.accepters.empty()) {
-        std::vector<ProfileId> accepted;
-        accepted.reserve(cell.accepters.size());
-        for (const std::uint32_t c : cell.accepters) {
-          accepted.push_back(constrained_ids[c]);
+    // Every zero cell's alive set is the don't-care list, so its child is
+    // built (or found) once and reused; each reuse counts as the memo hit
+    // a fresh lookup would have been.
+    std::optional<std::int32_t> dont_care_child;
+    std::vector<ProfileId>& merged = merged_[level];
+    for (std::size_t i = 0; i < cell_count; ++i) {
+      const std::span<const std::uint32_t> accepters = decomp.accepters(i);
+      std::int32_t child = ProfileTree::kMiss;
+      if (!accepters.empty()) {
+        // Accepter positions ascend, so their ids do too: merge them with
+        // the don't-care list into the sorted alive set of this cell.
+        merged.clear();
+        std::size_t d = 0;
+        for (const std::uint32_t c : accepters) {
+          const ProfileId id = constrained_ids[c];
+          while (d < dont_care.size() && dont_care[d] < id) {
+            merged.push_back(dont_care[d++]);
+          }
+          merged.push_back(id);
         }
-        cell_alive = merge_sorted(dont_care, accepted);
+        merged.insert(merged.end(), dont_care.begin() + d, dont_care.end());
+        child = slot(level + 1, merged);
+      } else if (dont_care_child.has_value()) {
+        ++stats_->memo_hits;
+        child = *dont_care_child;
+      } else if (!dont_care.empty()) {
+        dont_care_child = slot(level + 1, dont_care);
+        child = *dont_care_child;
       }
 
-      const bool edge = !cell_alive.empty();
-      node.cells.push_back(cell.interval);
-      node.child.push_back(edge ? build_slot(level + 1, std::move(cell_alive))
-                                : ProfileTree::kMiss);
-
-      layout.cells.push_back(cell.interval);
+      const bool edge = child != ProfileTree::kMiss;
+      node.child.push_back(child);
       layout.is_edge.push_back(edge);
-      layout.order_key.push_back(order_key(attribute, cell, constrained_ids));
+      layout.order_key.push_back(order_key(attribute, decomp.cells[i],
+                                           accepters, constrained_ids,
+                                           total_weight));
       if (edge) ++stats_->edge_count;
     }
 
-    const CellCosts costs = plan_costs(layout, config_.strategy);
-    node.cost = costs.cost;
-    node.scan_rank = costs.scan_rank;
+    layout.cells = std::move(decomp.cells);
+    CellCosts costs = plan_costs(layout, config_.strategy);
+    node.cells = std::move(layout.cells);
+    node.cost = std::move(costs.cost);
+    node.scan_rank = std::move(costs.scan_rank);
 
     stats_->cell_count += cell_count;
     stats_->max_node_width = std::max(stats_->max_node_width, cell_count);
@@ -163,38 +202,35 @@ class TreeBuilder {
 
     const auto index = static_cast<std::int32_t>(nodes_->size());
     nodes_->push_back(std::move(node));
-    memo_.emplace(std::move(key), index);
     return index;
   }
 
-  std::int32_t build_leaf(std::vector<ProfileId> alive) {
-    if (const auto it = leaf_memo_.find(alive); it != leaf_memo_.end()) {
-      ++stats_->memo_hits;
-      return it->second;
-    }
+  std::int32_t build_leaf(std::span<const ProfileId> alive) {
     const std::int32_t ref = ProfileTree::make_leaf_ref(leaves_->size());
-    leaves_->push_back(ProfileTree::Leaf{alive});
+    leaves_->push_back(
+        ProfileTree::Leaf{std::vector<ProfileId>(alive.begin(), alive.end())});
     ++stats_->leaf_count;
-    leaf_memo_.emplace(std::move(alive), ref);
     return ref;
   }
 
   /// Scan-priority key of a cell under the configured value order. Higher
   /// keys are scanned earlier; ties resolve to natural interval order.
-  double order_key(AttributeId attribute, const Cell& cell,
-                   const std::vector<ProfileId>& constrained_ids) const {
+  double order_key(AttributeId attribute, const Interval& cell,
+                   std::span<const std::uint32_t> accepters,
+                   const std::vector<ProfileId>& constrained_ids,
+                   double total_weight) const {
     switch (config_.value_order) {
       case ValueOrder::kNaturalAscending:
         return 0.0;  // all ties -> stable sort keeps natural order
       case ValueOrder::kNaturalDescending:
-        return static_cast<double>(cell.interval.lo);
+        return static_cast<double>(cell.lo);
       case ValueOrder::kEventProbability:
-        return event_mass(attribute, cell.interval);
+        return event_mass(attribute, cell);
       case ValueOrder::kProfileProbability:
-        return profile_share(cell, constrained_ids);
+        return profile_share(accepters, constrained_ids, total_weight);
       case ValueOrder::kCombinedProbability:
-        return event_mass(attribute, cell.interval) *
-               profile_share(cell, constrained_ids);
+        return event_mass(attribute, cell) *
+               profile_share(accepters, constrained_ids, total_weight);
     }
     return 0.0;
   }
@@ -208,16 +244,14 @@ class TreeBuilder {
   /// P_p(x_i): priority-weighted share of constraining profiles that
   /// reference this cell (every profile weighs 1.0 unless the application
   /// raised its priority).
-  double profile_share(const Cell& cell,
-                       const std::vector<ProfileId>& constrained_ids) const {
-    if (constrained_ids.empty()) return 0.0;
-    double total = 0.0;
-    for (const ProfileId id : constrained_ids) total += profiles_.weight(id);
+  double profile_share(std::span<const std::uint32_t> accepters,
+                       const std::vector<ProfileId>& constrained_ids,
+                       double total_weight) const {
     double referenced = 0.0;
-    for (const std::uint32_t c : cell.accepters) {
+    for (const std::uint32_t c : accepters) {
       referenced += profiles_.weight(constrained_ids[c]);
     }
-    return total > 0.0 ? referenced / total : 0.0;
+    return total_weight > 0.0 ? referenced / total_weight : 0.0;
   }
 
   const std::vector<AttributeId>& order() const noexcept {
@@ -232,9 +266,14 @@ class TreeBuilder {
   std::vector<ProfileTree::Node>* nodes_ = nullptr;
   std::vector<ProfileTree::Leaf>* leaves_ = nullptr;
   TreeBuildStats* stats_ = nullptr;
-  std::unordered_map<MemoKey, std::int32_t, MemoKeyHash> memo_;
-  std::unordered_map<std::vector<ProfileId>, std::int32_t, ProfileVecHash>
-      leaf_memo_;
+  /// Row per attribute, column per profile id: the profile's accepted set,
+  /// or null when it does not constrain the attribute.
+  std::vector<const IntervalSet*> constraints_;
+  std::size_t capacity_ = 0;
+  /// One memo per level; the last one holds the leaves.
+  std::vector<Memo> memo_;
+  /// Per-level scratch for a cell's merged alive set.
+  std::vector<std::vector<ProfileId>> merged_;
 };
 
 }  // namespace

@@ -83,5 +83,50 @@ TEST(AdaptiveController, EstimateTracksObservedMarginals) {
   EXPECT_EQ(controller.observations(), 3000u);
 }
 
+// Reference: the L1 distance between the smoothed estimate and the
+// baseline's marginals, formed through DiscreteDistribution objects.
+// drift() reads the histograms in place and must match it bit for bit.
+double reference_drift(const AdaptiveController& controller) {
+  if (!controller.baseline().has_value() || controller.observations() == 0) {
+    return 0.0;
+  }
+  const JointDistribution estimate = controller.estimate();
+  double worst = 0.0;
+  for (AttributeId id = 0; id < estimate.schema()->attribute_count(); ++id) {
+    worst = std::max(worst, DiscreteDistribution::l1_distance(
+                                estimate.marginal(id),
+                                controller.baseline()->marginal(id)));
+  }
+  return worst;
+}
+
+TEST(AdaptiveController, DriftEqualsEstimateFormulaAtEveryStep) {
+  const SchemaPtr schema = schema2();
+  AdaptiveOptions options;
+  options.decay = 0.9;  // renormalizes the lazy decay scale every ~2,600 events
+  options.smoothing = 0.25;
+  AdaptiveController controller(schema, options);
+  const JointDistribution low = peak_joint(schema, false);
+  const JointDistribution high = peak_joint(schema, true);
+  std::vector<Event> stream = event_stream(low, 2000, 11);
+  const std::vector<Event> shifted = event_stream(high, 2000, 12);
+  stream.insert(stream.end(), shifted.begin(), shifted.end());
+
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    controller.observe(stream[i]);
+    if (i == 300 || i == 2500) controller.mark_rebuilt(controller.estimate());
+    if (i == 1200) {
+      // A mixture baseline, as a configured prior can be.
+      controller.mark_rebuilt(JointDistribution::mixture(
+          schema,
+          {{low.marginal(0), low.marginal(1)},
+           {high.marginal(0), high.marginal(1)}},
+          {0.3, 0.7}));
+    }
+    ASSERT_EQ(controller.drift(), reference_drift(controller)) << "step " << i;
+  }
+  EXPECT_GT(controller.drift(), 0.0);
+}
+
 }  // namespace
 }  // namespace genas

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/ordering_policy.hpp"
 #include "dist/shapes.hpp"
+#include "sim/workload.hpp"
 #include "test_util.hpp"
+#include "tree/expected_cost.hpp"
 #include "tree/profile_tree.hpp"
 
 namespace genas {
@@ -150,6 +154,71 @@ TEST_F(Example1Tree, ChildrenPrecedeParents) {
     }
   }
   EXPECT_EQ(tree.root(), static_cast<std::int32_t>(tree.nodes().size()) - 1);
+}
+
+// The tree of the drift_churn_eq2k benchmark workload: 2,000 equality
+// profiles over 3 x [0,99], 20% don't-care, gauss P_p, profile seed 21,
+// built in V1 order for gauss P_e. Its shape, its predicted cost and a
+// fingerprint of every node and leaf are pinned, so a faster builder must
+// produce exactly the same automaton.
+std::uint64_t fingerprint(const ProfileTree& tree) {
+  std::uint64_t h = 0x243F6A8885A308D3ULL;
+  const auto mix = [&h](std::int64_t v) {
+    std::uint64_t x = h ^ (static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL);
+    h = splitmix64(x);
+  };
+  mix(tree.root());
+  for (const ProfileTree::Node& node : tree.nodes()) {
+    mix(static_cast<std::int64_t>(node.attribute));
+    for (std::size_t i = 0; i < node.cells.size(); ++i) {
+      mix(node.cells[i].lo);
+      mix(node.cells[i].hi);
+      mix(node.child[i]);
+      mix(node.cost[i]);
+      mix(node.scan_rank[i]);
+    }
+  }
+  for (const ProfileTree::Leaf& leaf : tree.leaves()) {
+    mix(static_cast<std::int64_t>(leaf.matched.size()));
+    for (const ProfileId id : leaf.matched) mix(id);
+  }
+  return h;
+}
+
+TEST(TreeIdentity, DriftWorkloadTreeIsPinned) {
+  const SchemaPtr schema = SchemaBuilder()
+                               .add_integer("a0", 0, 99)
+                               .add_integer("a1", 0, 99)
+                               .add_integer("a2", 0, 99)
+                               .build();
+  ProfileWorkloadOptions options;
+  options.count = 2000;
+  options.dont_care_probability = 0.2;
+  options.equality_only = true;
+  options.seed = 21;
+  const ProfileSet profiles = generate_profiles(
+      schema, make_profile_distributions(schema, {"gauss"}), options);
+  const JointDistribution gauss = make_event_distribution(schema, {"gauss"});
+  OrderingPolicy policy;
+  policy.value_order = ValueOrder::kEventProbability;
+  const ProfileTree tree = build_tree(profiles, policy, gauss);
+
+  const TreeBuildStats& stats = tree.build_stats();
+  std::size_t postings = 0;
+  for (const ProfileTree::Leaf& leaf : tree.leaves()) {
+    postings += leaf.matched.size();
+  }
+  EXPECT_EQ(stats.node_count, 4341u);
+  EXPECT_EQ(stats.leaf_count, 21522u);
+  EXPECT_EQ(stats.cell_count, 180181u);
+  EXPECT_EQ(stats.edge_count, 147971u);
+  EXPECT_EQ(stats.memo_hits, 122109u);
+  EXPECT_EQ(stats.max_node_width, 90u);
+  EXPECT_EQ(postings, 74557u);
+  EXPECT_EQ(FlatProfileTree::compile(tree).arena_bytes(), 3336672u);
+  EXPECT_DOUBLE_EQ(expected_cost(tree, gauss).ops_per_event,
+                   59.376896943360308);
+  EXPECT_EQ(fingerprint(tree), 0xecfe741702835011ULL);
 }
 
 }  // namespace
