@@ -5,9 +5,8 @@
 //   ./bench_perf_report [output.json] [--quick]
 //
 // Measured on the 10,000-equality-profile workload:
-//   * matcher_flat_events_per_sec / matcher_flat_span_events_per_sec — raw
-//     single-thread match throughput of the flat tree through the Matcher
-//     interface (owned result copy) and directly (no copy);
+//   * matcher_flat_span_events_per_sec — raw single-thread match throughput
+//     of the flat tree (no result copy, as the broker's publish path);
 //   * broker_snapshot_{1,4}thread_events_per_sec — aggregate publish
 //     events/sec at 1 and 4 publisher threads (the 4-thread figure is
 //     meaningful only when the host grants ≥4 hardware threads, see
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "bench_ens_util.hpp"
-#include "match/tree_matcher.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -120,18 +118,11 @@ int main(int argc, char** argv) {
   const ProfileSet profiles = generate_profiles(
       fixture.schema, make_profile_distributions(fixture.schema, {"gauss"}),
       options);
-  TreeMatcher matcher(profiles, policy, fixture.joint);
-
-  const double flat_rate = measure_rate(budget, [&](std::size_t i) {
-    const MatchOutcome outcome = matcher.match(fixture.events[i & mask]);
-    if (outcome.operations == UINT64_MAX) std::abort();  // keep it live
-  });
-  // Allocation-free variant: match the flat tree directly, as the broker's
-  // lock-free publish path does (no MatchOutcome heap copy).
-  const FlatProfileTree& flat_tree = matcher.flat();
+  const FlatProfileTree flat_tree =
+      FlatProfileTree::compile(build_tree(profiles, policy, fixture.joint));
   const double flat_span_rate = measure_rate(budget, [&](std::size_t i) {
     const FlatMatch match = flat_tree.match(fixture.events[i & mask]);
-    if (match.operations == UINT64_MAX) std::abort();
+    if (match.operations == UINT64_MAX) std::abort();  // keep it live
   });
 
   const double snapshot_1t = measure_threaded_rate(fixture, 1, budget);
@@ -193,7 +184,6 @@ int main(int argc, char** argv) {
        << " hardware thread(s); multi-thread ratios are not meaningful "
           "here — see README 'Performance harness'\",\n";
   }
-  put(os, "matcher_flat_events_per_sec", flat_rate);
   put(os, "matcher_flat_span_events_per_sec", flat_span_rate);
   put(os, "broker_snapshot_1thread_events_per_sec", snapshot_1t);
   put(os, "broker_snapshot_4thread_events_per_sec", snapshot_4t);

@@ -8,11 +8,12 @@
 #include <map>
 #include <memory>
 
+#include "core/ordering_policy.hpp"
 #include "dist/sampler.hpp"
 #include "match/counting_matcher.hpp"
 #include "match/naive_matcher.hpp"
-#include "match/tree_matcher.hpp"
 #include "sim/workload.hpp"
+#include "tree/flat_tree.hpp"
 
 namespace {
 
@@ -23,10 +24,12 @@ struct Fixture {
   std::unique_ptr<ProfileSet> profiles;
   JointDistribution joint;
   std::vector<Event> events;
-  /// Matchers cached per fixture: google-benchmark re-invokes each
-  /// benchmark function several times and the 10,000-profile tree build is
-  /// far too expensive to repeat outside BM_TreeBuild.
+  /// Matchers and compiled trees cached per fixture: google-benchmark
+  /// re-invokes each benchmark function several times and the
+  /// 10,000-profile tree build is far too expensive to repeat outside
+  /// BM_TreeBuild.
   std::map<std::string, std::unique_ptr<Matcher>> matchers;
+  std::map<std::string, std::unique_ptr<const FlatProfileTree>> trees;
 
   explicit Fixture(std::size_t p)
       : schema(SchemaBuilder()
@@ -88,20 +91,35 @@ void BM_Counting(benchmark::State& state) {
   });
 }
 
+/// Matches the compiled flat tree directly, as the broker's publish path
+/// does (no owned result copy).
+void run_tree(benchmark::State& state, const std::string& key,
+              const OrderingPolicy& policy) {
+  Fixture& fixture = fixture_for(static_cast<std::size_t>(state.range(0)));
+  auto& tree = fixture.trees[key];
+  if (!tree) {
+    tree = std::make_unique<const FlatProfileTree>(FlatProfileTree::compile(
+        build_tree(*fixture.profiles, policy, fixture.joint)));
+  }
+  std::size_t i = 0;
+  std::uint64_t matches = 0;
+  for (auto _ : state) {
+    matches += tree->match(fixture.events[i++ & 1023]).matched_count;
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void BM_TreeBinary(benchmark::State& state) {
-  run_matcher(state, "tree-binary", [](Fixture& f) {
-    OrderingPolicy policy;
-    policy.strategy = SearchStrategy::kBinary;
-    return std::make_unique<TreeMatcher>(*f.profiles, policy, f.joint);
-  });
+  OrderingPolicy policy;
+  policy.strategy = SearchStrategy::kBinary;
+  run_tree(state, "tree-binary", policy);
 }
 
 void BM_TreeEventOrder(benchmark::State& state) {
-  run_matcher(state, "tree-v1", [](Fixture& f) {
-    OrderingPolicy policy;
-    policy.value_order = ValueOrder::kEventProbability;
-    return std::make_unique<TreeMatcher>(*f.profiles, policy, f.joint);
-  });
+  OrderingPolicy policy;
+  policy.value_order = ValueOrder::kEventProbability;
+  run_tree(state, "tree-v1", policy);
 }
 
 void BM_TreeBuild(benchmark::State& state) {
@@ -109,8 +127,9 @@ void BM_TreeBuild(benchmark::State& state) {
   OrderingPolicy policy;
   policy.strategy = SearchStrategy::kBinary;
   for (auto _ : state) {
-    const TreeMatcher matcher(*fixture.profiles, policy, fixture.joint);
-    benchmark::DoNotOptimize(&matcher);
+    const FlatProfileTree tree = FlatProfileTree::compile(
+        build_tree(*fixture.profiles, policy, fixture.joint));
+    benchmark::DoNotOptimize(&tree);
   }
 }
 

@@ -4,7 +4,10 @@
 // OrderingPolicy, and optionally runs the adaptive loop: observe events,
 // detect distribution drift, restructure the tree. The engine rebuilds
 // lazily — subscription changes mark the tree stale and the next match (or
-// an explicit rebuild()) refreshes it.
+// an explicit rebuild()) refreshes it. It is the one owner of a matchable
+// tree: the broker, every routing table (net::LinkTable) and the overlay's
+// brokers build theirs through it, so one rule decides when a tree is
+// stale and which distribution it is built for.
 //
 // Every rebuild builds the node-form tree, compiles it into an immutable
 // FlatProfileTree, and keeps only the flat form. snapshot() hands the

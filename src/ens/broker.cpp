@@ -146,46 +146,6 @@ SubscriptionId Broker::subscribe(std::string_view expression,
   return subscribe(parse_profile(schema_, expression), std::move(callback));
 }
 
-void Broker::set_delivery_sink(NotificationCallback sink) {
-  const std::scoped_lock lock(mutex_);
-  if (default_sink_id_ != 0) {
-    std::erase_if(sinks_, [this](const SinkEntry& entry) {
-      return entry.id == default_sink_id_;
-    });
-    default_sink_id_ = 0;
-  }
-  if (sink != nullptr) {
-    default_sink_id_ = next_sink_id_++;
-    sinks_.push_back(
-        SinkEntry{default_sink_id_, std::make_shared<const NotificationCallback>(
-                                        std::move(sink))});
-  }
-  version_.fetch_add(1, std::memory_order_release);
-}
-
-SinkId Broker::add_delivery_sink(NotificationCallback sink) {
-  GENAS_REQUIRE(sink != nullptr, ErrorCode::kInvalidArgument,
-                "delivery sink requires a callable");
-  const std::scoped_lock lock(mutex_);
-  const SinkId id = next_sink_id_++;
-  sinks_.push_back(SinkEntry{
-      id, std::make_shared<const NotificationCallback>(std::move(sink))});
-  version_.fetch_add(1, std::memory_order_release);
-  return id;
-}
-
-void Broker::remove_delivery_sink(SinkId id) {
-  const std::scoped_lock lock(mutex_);
-  const auto it =
-      std::find_if(sinks_.begin(), sinks_.end(),
-                   [id](const SinkEntry& entry) { return entry.id == id; });
-  GENAS_REQUIRE(it != sinks_.end(), ErrorCode::kNotFound,
-                "unknown delivery sink " + std::to_string(id));
-  sinks_.erase(it);
-  if (id == default_sink_id_) default_sink_id_ = 0;
-  version_.fetch_add(1, std::memory_order_release);
-}
-
 DrainHookId Broker::add_drain_hook(DrainHook hook) {
   GENAS_REQUIRE(hook != nullptr, ErrorCode::kInvalidArgument,
                 "drain hook requires a callable");
@@ -538,10 +498,6 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
       fresh->routes[profile] =
           Route{subscription, subscriptions_.at(subscription).callback};
     }
-    fresh->sinks.reserve(sinks_.size());
-    for (const SinkEntry& entry : sinks_) {
-      fresh->sinks.push_back(entry.callback);
-    }
     fresh->drain_hooks.reserve(drain_hooks_.size());
     for (const DrainHookEntry& entry : drain_hooks_) {
       fresh->drain_hooks.push_back(entry.hook);
@@ -644,7 +600,6 @@ BatchPublishResult Broker::publish_batch_impl(
       const Notification notification{delivery.subscription,
                                       events[delivery.event_index]};
       (*delivery.callback)(notification);
-      for (const auto& sink : snapshot->sinks) (*sink)(notification);
     }
   } else {
     for (const Delivery& delivery : deliveries) {
@@ -654,7 +609,6 @@ BatchPublishResult Broker::publish_batch_impl(
       // re-entrant publish) for exactly this notification's callbacks.
       const TokenGuard guard(dedup_tokens[delivery.event_index]);
       (*delivery.callback)(notification);
-      for (const auto& sink : snapshot->sinks) (*sink)(notification);
     }
   }
   return_delivery_scratch(std::move(deliveries));

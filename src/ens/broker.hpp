@@ -59,9 +59,6 @@ namespace genas {
 /// Handle of one subscription.
 using SubscriptionId = std::uint64_t;
 
-/// Handle of one broker-wide delivery sink.
-using SinkId = std::uint64_t;
-
 /// Handle of one drain hook (see Broker::add_drain_hook).
 using DrainHookId = std::uint64_t;
 
@@ -147,9 +144,9 @@ class Broker {
   // snapshot/FilterEngine path as an internal primitive subscription whose
   // deliveries drive a broker-internal CompositeDetector — the lock-free
   // publish hot path is untouched, and a composite coexists with plain
-  // subscriptions and delivery sinks. Leaf registration is refcounted and
-  // keyed by profile equality (canonical_profile_key): equal leaf profiles
-  // — across composites, or duplicated within one expression — share one
+  // subscriptions. Leaf registration is refcounted and keyed by profile
+  // equality (canonical_profile_key): equal leaf profiles — across
+  // composites, or duplicated within one expression — share one
   // engine registration and one ingress stimulus per matching event; the
   // registration retracts when the last composite using it unsubscribes.
   // Detection is watermark-based: primitive firings buffer in a reorder
@@ -201,35 +198,15 @@ class Broker {
   /// Stimuli the composite redelivery filter has dropped.
   std::uint64_t composite_duplicates_dropped() const;
 
-  /// Installs (or, with nullptr, clears) the broker's *default* delivery
-  /// sink: an observer invoked for every delivered notification, after the
-  /// owning subscription's callback, outside all locks, on the publishing
-  /// thread. External transports tap the full delivery stream this way —
-  /// the mesh runtime counts per-node deliveries without wrapping each
-  /// callback — and like callbacks, a sink may re-enter the broker.
-  ///
-  /// Swap semantics are explicit: set_delivery_sink replaces only the sink
-  /// a previous set_delivery_sink call installed. Sinks installed through
-  /// add_delivery_sink are independent and are never clobbered by it.
-  void set_delivery_sink(NotificationCallback sink);
-
-  /// Installs an additional delivery sink and returns its handle. All
-  /// installed sinks observe every delivery, in installation order (the
-  /// set_delivery_sink slot counts as one of them).
-  SinkId add_delivery_sink(NotificationCallback sink);
-  /// Removes a sink installed by add_delivery_sink; Error{kNotFound} for
-  /// unknown handles.
-  void remove_delivery_sink(SinkId id);
-
   /// Installs a drain hook: invoked once per publish()/publish_batch(),
-  /// after every notification of that call (callbacks and sinks) has been
-  /// delivered, outside all broker locks, on the publishing thread. This is
-  /// the batching boundary for transports that stage per-notification
-  /// output: a sink appends, the drain hook flushes, so one publish emits
-  /// one frame regardless of how many subscriptions matched. A publish that
-  /// delivers nothing still runs the hooks (cheap, and it lets a stage
-  /// flush output that arrived through a different path). Hooks run in
-  /// installation order and may re-enter the broker.
+  /// after every notification of that call has been delivered, outside all
+  /// broker locks, on the publishing thread. This is the batching boundary
+  /// for transports that stage per-notification output: a callback appends,
+  /// the drain hook flushes, so one publish emits one frame regardless of
+  /// how many subscriptions matched. A publish that delivers nothing still
+  /// runs the hooks (cheap, and it lets a stage flush output that arrived
+  /// through a different path). Hooks run in installation order and may
+  /// re-enter the broker.
   DrainHookId add_drain_hook(DrainHook hook);
   /// Removes a hook installed by add_drain_hook; Error{kNotFound} for
   /// unknown handles.
@@ -287,9 +264,6 @@ class Broker {
     std::uint64_t version = 0;
     std::shared_ptr<const FlatProfileTree> tree;
     std::vector<Route> routes;
-    /// Broker-wide delivery observers, in installation order; empty when
-    /// none are installed.
-    std::vector<std::shared_ptr<const NotificationCallback>> sinks;
     /// Post-drain hooks, in installation order; empty when none are
     /// installed.
     std::vector<std::shared_ptr<const DrainHook>> drain_hooks;
@@ -340,16 +314,6 @@ class Broker {
   /// next mutation bumps it (always bumped under mutex_, read lock-free).
   std::atomic<std::uint64_t> version_{1};
   std::shared_ptr<const Snapshot> snapshot_;  // guarded by mutex_
-
-  /// Installed delivery sinks, in installation order; guarded by mutex_.
-  struct SinkEntry {
-    SinkId id = 0;
-    std::shared_ptr<const NotificationCallback> callback;
-  };
-  std::vector<SinkEntry> sinks_;
-  SinkId next_sink_id_ = 1;
-  /// Sink owned by set_delivery_sink (its explicit-swap slot); 0 when none.
-  SinkId default_sink_id_ = 0;
 
   /// Installed drain hooks, in installation order; guarded by mutex_.
   struct DrainHookEntry {

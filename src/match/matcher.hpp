@@ -27,7 +27,7 @@ class Matcher {
  public:
   virtual ~Matcher() = default;
 
-  /// Human-readable algorithm name ("naive", "counting", "tree").
+  /// Human-readable algorithm name ("naive", "counting").
   virtual std::string_view name() const noexcept = 0;
 
   /// Matches one event. Implementations are const and thread-safe.

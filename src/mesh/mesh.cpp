@@ -105,8 +105,10 @@ struct MeshNetwork::Node {
   std::thread worker;
 
   struct Peer {
-    explicit Peer(NodeId peer, SchemaPtr schema)
-        : node(peer), table(std::move(schema)) {}
+    Peer(NodeId peer, SchemaPtr schema, const MeshOptions& options)
+        : node(peer),
+          table(std::move(schema), options.policy,
+                options.event_distribution) {}
     NodeId node;
     net::LinkTable table;          // worker-owned routing state
     std::deque<NodeMsg> outbox;    // frames awaiting a full peer mailbox
@@ -168,7 +170,6 @@ struct MeshNetwork::Node {
   std::atomic<std::uint64_t> event_messages{0};
   std::atomic<std::uint64_t> profile_messages{0};
   std::atomic<std::uint64_t> filter_operations{0};
-  std::atomic<std::uint64_t> deliveries{0};
   /// Deepest this node's mailbox has grown (probed under the mailbox lock
   /// at push time, so the high-water costs no extra synchronization).
   std::atomic<std::uint64_t> mailbox_hwm{0};
@@ -190,6 +191,8 @@ struct MeshNetwork::Node {
   std::vector<Event> batch_events;
   std::vector<NodeId> batch_sources;
   std::vector<std::uint64_t> batch_tokens;
+  /// Each link's routing tree, taken once per drain round (routing modes).
+  std::vector<std::shared_ptr<const FlatProfileTree>> link_trees;
   /// Earliest trace stamp of a sampled publish in the current batch; timed
   /// against the publish-to-route histogram once route_events() returns.
   std::uint64_t batch_trace_stamp = 0;
@@ -265,10 +268,6 @@ NodeId MeshNetwork::add_node() {
   node->broker->set_trace_period(options_.trace_period);
   node->broker->set_composite_skew(options_.composite_skew);
   node->broker->set_composite_dedup_window(options_.composite_dedup_window);
-  Node* raw = node.get();
-  node->broker->set_delivery_sink([raw](const Notification&) {
-    raw->deliveries.fetch_add(1, std::memory_order_relaxed);
-  });
   nodes_.push_back(std::move(node));
   forest_.push_back(forest_.size());
   return nodes_.size() - 1;
@@ -299,8 +298,10 @@ void MeshNetwork::connect(NodeId a, NodeId b) {
   GENAS_REQUIRE(ra != rb, ErrorCode::kInvalidArgument,
                 "link would close a cycle; the mesh must stay acyclic");
   forest_[ra] = rb;
-  nodes_[a]->peers.push_back(std::make_unique<Node::Peer>(b, schema_));
-  nodes_[b]->peers.push_back(std::make_unique<Node::Peer>(a, schema_));
+  nodes_[a]->peers.push_back(
+      std::make_unique<Node::Peer>(b, schema_, options_));
+  nodes_[b]->peers.push_back(
+      std::make_unique<Node::Peer>(a, schema_, options_));
 }
 
 void MeshNetwork::start() {
@@ -1045,7 +1046,7 @@ void MeshNetwork::route_events(Node& node) {
       node.broker->publish_batch(node.batch_events, node.batch_tokens);
   node.filter_operations.fetch_add(result.operations,
                                    std::memory_order_relaxed);
-  // result.notified is counted per node via the broker's delivery sink.
+  // result.notified is counted by the broker itself (counters()).
 
   if (options_.auto_advance_watermark) {
     // Every event through this node drives the composite watermark, not
@@ -1071,22 +1072,25 @@ void MeshNetwork::route_events(Node& node) {
   // currency), so the mesh-vs-overlay oracles see identical numbers.
   const std::size_t batch_cap = std::max<std::size_t>(options_.link_batch_max,
                                                       1);
+  const bool routed_mode = options_.mode != RoutingMode::kFlooding;
+  node.link_trees.clear();
+  if (routed_mode) {
+    for (const auto& peer : node.peers) {
+      node.link_trees.push_back(peer->table.snapshot());
+    }
+  }
   for (std::size_t i = 0; i < node.batch_events.size(); ++i) {
     const Event& event = node.batch_events[i];
     const NodeId source = node.batch_sources[i];
     for (std::size_t p = 0; p < node.peers.size(); ++p) {
       Node::Peer& peer = *node.peers[p];
       if (peer.node == source) continue;
-      bool send = true;
-      if (options_.mode != RoutingMode::kFlooding) {
-        const MatchOutcome routed =
-            peer.table.matcher(options_.policy, options_.event_distribution)
-                .match(event);
+      if (routed_mode) {
+        const FlatMatch routed = node.link_trees[p]->match(event);
         node.filter_operations.fetch_add(routed.operations,
                                          std::memory_order_relaxed);
-        send = !routed.matched.empty();
+        if (routed.matched_count == 0) continue;
       }
-      if (!send) continue;
       node.event_messages.fetch_add(1, std::memory_order_relaxed);
       peer.event_messages.fetch_add(1, std::memory_order_relaxed);
       peer.batch.append(event);
@@ -1107,6 +1111,7 @@ void MeshNetwork::route_events(Node& node) {
   // The drained events' index storage funds the next decode: recycling
   // here is what makes the receive path allocation-free in steady state.
   node.arena.recycle_all(node.batch_events);
+  node.link_trees.clear();
   node.batch_sources.clear();
   node.batch_tokens.clear();
 }
@@ -1129,7 +1134,7 @@ OverlayStats MeshNetwork::node_stats(NodeId node) const {
   stats.profile_messages = n.profile_messages.load(std::memory_order_relaxed);
   stats.filter_operations =
       n.filter_operations.load(std::memory_order_relaxed);
-  stats.deliveries = n.deliveries.load(std::memory_order_relaxed);
+  stats.deliveries = n.broker->counters().notifications;
   return stats;
 }
 
@@ -1194,7 +1199,7 @@ obs::StatsSnapshot MeshNetwork::stats_snapshot() const {
     synthesize("genas_mesh_filter_operations_total", node_labels,
                obs::MetricKind::kCounter, load(n.filter_operations));
     synthesize("genas_mesh_deliveries_total", node_labels,
-               obs::MetricKind::kCounter, load(n.deliveries));
+               obs::MetricKind::kCounter, n.broker->counters().notifications);
     synthesize("genas_mesh_mailbox_depth_highwater", node_labels,
                obs::MetricKind::kGauge, load(n.mailbox_hwm));
 

@@ -5,7 +5,8 @@
 // node is a worker thread behind a bounded MPSC mailbox, holding a local
 // ens::Broker (the lock-free snapshot/batch hot path) plus per-link routing
 // tables with Siena-style covering (net::LinkTable — the same code the
-// overlay uses, so routing decisions are identical by construction). Links
+// overlay uses, so routing decisions are identical by construction). Every
+// tree, the broker's and each link's, is built by a FilterEngine. Links
 // transport real bytes: every inter-node message is serialized through the
 // binary wire codec (src/wire/codec.hpp) and decoded at the receiving
 // worker, so the runtime is one socket-transport away from a true
@@ -63,9 +64,10 @@
 //
 // Statistics use the overlay's currency (net::OverlayStats) so the two
 // runtimes are directly comparable — the oracle test asserts identical
-// delivery multisets and routing-entry counts. profile_messages counts
-// routing-table installs (the overlay's definition), not raw frames.
-// `deliveries` counts every local broker notification, including primitive
+// delivery multisets, routing-entry counts and filter operations.
+// profile_messages counts routing-table installs (the overlay's definition),
+// not raw frames. `deliveries` is the node broker's own notification count
+// (Broker::counters().notifications), so it includes primitive
 // deliveries into a composite subscription's detection tap — deliberately:
 // that is exactly what an overlay holding the decomposed leaf profiles as
 // plain subscriptions counts, so the composite oracle can compare the two
@@ -107,7 +109,8 @@ struct MeshOptions {
   RoutingMode mode = RoutingMode::kRoutingCovered;
   /// Filter policy used by every node's trees (local broker and per-link).
   OrderingPolicy policy;
-  /// Event distribution handed to the trees (required by V1/V3/A2/A3).
+  /// Event distribution the trees are built for. When absent, every tree
+  /// falls back to a uniform P_e, like FilterEngine.
   std::optional<JointDistribution> event_distribution;
   /// Mailbox capacity per node; full mailboxes block external producers.
   std::size_t mailbox_capacity = 1024;
@@ -318,10 +321,10 @@ class MeshNetwork {
   /// crash the process: a poisoned message is dropped and recorded here.
   std::string first_error() const;
 
-  /// One node's broker, for transport-level wiring (delivery sinks, drain
-  /// hooks — e.g. BrokerServer flushing staged delivery batches at the end
-  /// of each worker drain round). The broker outlives every worker; sink
-  /// and hook registration is broker-synchronized.
+  /// One node's broker, for transport-level wiring (drain hooks — e.g.
+  /// BrokerServer flushing staged delivery batches at the end of each
+  /// worker drain round). The broker outlives every worker; hook
+  /// registration is broker-synchronized.
   Broker& node_broker(NodeId node) const;
 
  private:

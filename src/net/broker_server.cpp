@@ -19,6 +19,11 @@ namespace {
 
 using Frame = std::vector<std::uint8_t>;
 
+/// Accept-loop poll slice; also bounds stop() latency.
+constexpr std::chrono::milliseconds kAcceptPoll{100};
+/// Resume-session registry bound; the oldest session falls out first.
+constexpr std::size_t kMaxSessions = 1024;
+
 /// Dedup token of one sequenced publish: a stable mix of session identity
 /// and sequence, so a replay of the same publish — across reconnects and
 /// even across a server restart that forgot the session — maps to the same
@@ -168,7 +173,7 @@ struct BrokerServer::Impl {
 
   /// Resume-session registry: session id -> highest publish sequence
   /// processed. Outlives connections (that is the point); bounded by
-  /// options.max_sessions with oldest-first eviction.
+  /// kMaxSessions with oldest-first eviction.
   std::mutex sessions_mutex;
   std::unordered_map<std::uint64_t, std::uint64_t> sessions;
   std::deque<std::uint64_t> session_order;
@@ -350,8 +355,7 @@ void BrokerServer::run_accept_loop() {
   while (!impl_->stopping.load()) {
     std::optional<SocketChannel> channel;
     try {
-      channel = impl_->listener.accept(impl_->options.accept_poll,
-                                       impl_->options.timeouts);
+      channel = impl_->listener.accept(kAcceptPoll, impl_->options.timeouts);
     } catch (const std::exception& e) {
       if (!impl_->stopping.load()) record_error(e.what());
       return;
@@ -416,7 +420,7 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
             // Unknown ids are adopted as fresh sessions — the client picks
             // its identity, which keeps dedup tokens stable even across a
             // server restart that lost this registry.
-            if (impl.sessions.size() >= impl.options.max_sessions &&
+            if (impl.sessions.size() >= kMaxSessions &&
                 !impl.session_order.empty()) {
               impl.sessions.erase(impl.session_order.front());
               impl.session_order.pop_front();

@@ -85,16 +85,12 @@ namespace genas::net {
 struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via port())
   SocketTimeouts timeouts{};
-  /// Accept-loop poll slice; also bounds stop() latency.
-  std::chrono::milliseconds accept_poll{100};
   /// When non-negative, a client that does not start a frame within this
   /// bound is disconnected (half-open and slow-loris defense; a mid-frame
   /// stall is already bounded by timeouts.read). Use only where clients
   /// are expected to keep traffic (or flush heartbeats) flowing: an idle
   /// but healthy subscriber trips it too. Negative (default) never evicts.
   std::chrono::milliseconds client_idle_timeout{-1};
-  /// Resume-session registry bound; the oldest session falls out first.
-  std::size_t max_sessions = 1024;
   /// Deliveries staged into one kDeliveryBatch frame before it goes out.
   /// The stage also flushes at the end of every publish (broker drain
   /// hook) and before any non-delivery frame, so batching never delays a

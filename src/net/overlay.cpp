@@ -11,9 +11,11 @@ OverlayNetwork::OverlayNetwork(SchemaPtr schema, OverlayOptions options)
 }
 
 NodeId OverlayNetwork::add_broker() {
-  Broker broker;
-  broker.local = std::make_unique<ProfileSet>(schema_);
-  brokers_.push_back(std::move(broker));
+  brokers_.push_back(Broker{
+      FilterEngine(schema_, EngineOptions{options_.policy,
+                                          options_.event_distribution,
+                                          std::nullopt}),
+      {}});
   forest_.push_back(forest_.size());  // own root
   return brokers_.size() - 1;
 }
@@ -45,10 +47,8 @@ void OverlayNetwork::connect(NodeId a, NodeId b) {
   forest_[ra] = rb;
 
   const auto make_link = [&](NodeId peer) {
-    Link link;
-    link.peer = peer;
-    link.table = std::make_unique<LinkTable>(schema_);
-    return link;
+    return Link{peer, LinkTable(schema_, options_.policy,
+                                options_.event_distribution)};
   };
   brokers_[a].links.push_back(make_link(b));
   brokers_[b].links.push_back(make_link(a));
@@ -68,7 +68,7 @@ void OverlayNetwork::propagate(NodeId from, NodeId to, std::uint64_t key,
   // arriving at `to` are forwarded toward the subscriber.
   Link& link = link_to(to, from);
   const bool covering = options_.mode == RoutingMode::kRoutingCovered;
-  if (!link.table->add(key, profile, covering)) return;  // suppressed
+  if (!link.table.add(key, profile, covering)) return;  // suppressed
   ++stats_.profile_messages;
 
   // Brokers behind `to` learn the profile the same way.
@@ -83,7 +83,7 @@ std::uint64_t OverlayNetwork::subscribe(NodeId node, Profile profile) {
   GENAS_REQUIRE(profile.schema() == schema_, ErrorCode::kInvalidArgument,
                 "profile schema differs from overlay schema");
   const std::uint64_t key = next_subscription_++;
-  brokers_[node].local->add(profile);
+  brokers_[node].local.subscribe(profile);
   if (options_.mode != RoutingMode::kFlooding) {
     for (const Link& link : brokers_[node].links) {
       propagate(node, link.peer, key, profile);
@@ -92,24 +92,13 @@ std::uint64_t OverlayNetwork::subscribe(NodeId node, Profile profile) {
   return key;
 }
 
-const TreeMatcher& OverlayNetwork::local_matcher(NodeId node) {
-  Broker& broker = brokers_[node];
-  if (broker.matcher == nullptr ||
-      broker.matcher_version != broker.local->version()) {
-    broker.matcher = std::make_unique<TreeMatcher>(
-        *broker.local, options_.policy, options_.event_distribution);
-    broker.matcher_version = broker.local->version();
-  }
-  return *broker.matcher;
-}
-
 void OverlayNetwork::forward(NodeId node, NodeId from, const Event& event,
                              std::size_t& deliveries) {
   // Local matching at this broker.
-  const MatchOutcome local = local_matcher(node).match(event);
+  const FlatMatch local = brokers_[node].local.snapshot()->match(event);
   stats_.filter_operations += local.operations;
-  deliveries += local.matched.size();
-  stats_.deliveries += local.matched.size();
+  deliveries += local.matched_count;
+  stats_.deliveries += local.matched_count;
 
   // Forwarding decision per outgoing link.
   for (std::size_t i = 0; i < brokers_[node].links.size(); ++i) {
@@ -117,11 +106,9 @@ void OverlayNetwork::forward(NodeId node, NodeId from, const Event& event,
     if (link.peer == from) continue;
     bool send = true;
     if (options_.mode != RoutingMode::kFlooding) {
-      const MatchOutcome routed =
-          link.table->matcher(options_.policy, options_.event_distribution)
-              .match(event);
+      const FlatMatch routed = link.table.snapshot()->match(event);
       stats_.filter_operations += routed.operations;
-      send = !routed.matched.empty();
+      send = routed.matched_count > 0;
     }
     if (send) {
       ++stats_.event_messages;
@@ -144,14 +131,14 @@ std::size_t OverlayNetwork::routing_entries(NodeId node) const {
   validate_node(node);
   std::size_t total = 0;
   for (const Link& link : brokers_[node].links) {
-    total += link.table->entry_count();
+    total += link.table.entry_count();
   }
   return total;
 }
 
 std::size_t OverlayNetwork::local_subscriptions(NodeId node) const {
   validate_node(node);
-  return brokers_[node].local->active_count();
+  return brokers_[node].local.profiles().active_count();
 }
 
 }  // namespace genas::net

@@ -20,15 +20,16 @@
 // over all brokers' trees) plus link messages. The per-link routing tables
 // (LinkTable, src/net/routing.hpp) are shared with the concurrent mesh
 // runtime (src/mesh/), which this simulation serves as the oracle for.
+// Every tree here — each broker's local one and each link's — is built by
+// a FilterEngine, as the mesh's brokers and links build theirs, so the two
+// runtimes match on identical trees and count identical filter operations.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/ordering_policy.hpp"
-#include "match/tree_matcher.hpp"
+#include "core/filter_engine.hpp"
 #include "net/routing.hpp"
 
 namespace genas::net {
@@ -38,7 +39,8 @@ struct OverlayOptions {
   RoutingMode mode = RoutingMode::kRoutingCovered;
   /// Filter policy used by every broker's trees (local and per-link).
   OrderingPolicy policy;
-  /// Event distribution handed to the trees (required by V1/V3/A2/A3).
+  /// Event distribution the trees are built for. When absent, every tree
+  /// falls back to a uniform P_e, like FilterEngine.
   std::optional<JointDistribution> event_distribution;
 };
 
@@ -78,13 +80,11 @@ class OverlayNetwork {
   struct Link {
     NodeId peer;
     /// Profiles interested in events flowing toward `peer` (routing modes).
-    std::unique_ptr<LinkTable> table;
+    LinkTable table;
   };
 
   struct Broker {
-    std::unique_ptr<ProfileSet> local;
-    std::unique_ptr<TreeMatcher> matcher;
-    std::uint64_t matcher_version = ~0ULL;
+    FilterEngine local;  ///< local subscriptions
     std::vector<Link> links;
   };
 
@@ -95,9 +95,6 @@ class OverlayNetwork {
   /// propagates behind `to`; covering may suppress it part-way.
   void propagate(NodeId from, NodeId to, std::uint64_t key,
                  const Profile& profile);
-
-  /// Matching with lazy tree rebuild; counts operations into stats_.
-  const TreeMatcher& local_matcher(NodeId node);
 
   void forward(NodeId node, NodeId from, const Event& event,
                std::size_t& deliveries);

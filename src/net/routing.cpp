@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace genas::net {
 
 std::string_view to_string(RoutingMode mode) noexcept {
@@ -15,24 +13,22 @@ std::string_view to_string(RoutingMode mode) noexcept {
   return "?";
 }
 
-LinkTable::LinkTable(SchemaPtr schema)
-    : schema_(std::move(schema)),
-      forwarded_(std::make_unique<ProfileSet>(schema_)) {
-  GENAS_REQUIRE(schema_ != nullptr, ErrorCode::kInvalidArgument,
-                "link table requires a schema");
-}
+LinkTable::LinkTable(SchemaPtr schema, OrderingPolicy policy,
+                     std::optional<JointDistribution> event_distribution)
+    : engine_(std::move(schema),
+              EngineOptions{std::move(policy), std::move(event_distribution),
+                            std::nullopt}) {}
 
 bool LinkTable::add(std::uint64_t key, const Profile& profile, bool covering) {
   if (covering) {
     for (const Installed& existing : installed_) {
-      if (covers(existing.profile, profile)) {
+      if (covers(installed_profile(existing), profile)) {
         suppressed_.push_back(Suppressed{key, profile, existing.key});
         return false;
       }
     }
   }
-  const ProfileId id = forwarded_->add(profile);
-  installed_.push_back(Installed{key, profile, id});
+  installed_.push_back(Installed{key, engine_.subscribe(profile)});
   return true;
 }
 
@@ -45,7 +41,7 @@ LinkTable::Removal LinkTable::remove(std::uint64_t key) {
   if (installed_it != installed_.end()) {
     removal.removed = true;
     removal.installed = true;
-    forwarded_->remove(installed_it->id);
+    engine_.unsubscribe(installed_it->id);
     installed_.erase(installed_it);
 
     // Promote entries this key had been covering: re-check each against the
@@ -59,15 +55,14 @@ LinkTable::Removal LinkTable::remove(std::uint64_t key) {
       const auto coverer =
           std::find_if(installed_.begin(), installed_.end(),
                        [&](const Installed& e) {
-                         return covers(e.profile, it->profile);
+                         return covers(installed_profile(e), it->profile);
                        });
       if (coverer != installed_.end()) {
         it->covered_by = coverer->key;
         ++it;
         continue;
       }
-      const ProfileId id = forwarded_->add(it->profile);
-      installed_.push_back(Installed{it->key, it->profile, id});
+      installed_.push_back(Installed{it->key, engine_.subscribe(it->profile)});
       removal.promoted.emplace_back(it->key, std::move(it->profile));
       it = suppressed_.erase(it);
     }
@@ -82,16 +77,6 @@ LinkTable::Removal LinkTable::remove(std::uint64_t key) {
     suppressed_.erase(suppressed_it);
   }
   return removal;
-}
-
-const TreeMatcher& LinkTable::matcher(
-    const OrderingPolicy& policy,
-    const std::optional<JointDistribution>& dist) {
-  if (matcher_ == nullptr || matcher_version_ != forwarded_->version()) {
-    matcher_ = std::make_unique<TreeMatcher>(*forwarded_, policy, dist);
-    matcher_version_ = forwarded_->version();
-  }
-  return *matcher_;
 }
 
 }  // namespace genas::net

@@ -10,8 +10,11 @@
 // LinkTable is that per-link table. Both src/net/overlay.* (the
 // deterministic single-threaded simulation) and src/mesh/* (the
 // multi-threaded runtime) build on it, so suppression order, entry counts,
-// and matcher behavior are identical by construction — the property the
-// mesh-vs-overlay oracle test asserts.
+// and forwarding decisions are identical by construction — the property the
+// mesh-vs-overlay oracle test asserts. The installed entries live in a
+// non-adaptive FilterEngine, the one owner of a matchable tree: a link's
+// tree is built and refreshed exactly like a broker's, for the same
+// policy and the same event distribution (uniform when none is given).
 #pragma once
 
 #include <cstdint>
@@ -21,8 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/ordering_policy.hpp"
-#include "match/tree_matcher.hpp"
+#include "core/filter_engine.hpp"
 #include "profile/covering.hpp"
 
 namespace genas::net {
@@ -59,7 +61,9 @@ struct OverlayStats {
 /// onward, exactly like fresh subscriptions).
 class LinkTable {
  public:
-  explicit LinkTable(SchemaPtr schema);
+  /// The link's tree is built for `policy` and `event_distribution`.
+  LinkTable(SchemaPtr schema, OrderingPolicy policy,
+            std::optional<JointDistribution> event_distribution);
 
   /// Installs `profile` under `key`, or suppresses it when `covering` is set
   /// and an installed entry covers it. Returns true when installed — the
@@ -78,19 +82,21 @@ class LinkTable {
   Removal remove(std::uint64_t key);
 
   /// Number of installed (forwarding-relevant) entries.
-  std::size_t entry_count() const noexcept { return forwarded_->active_count(); }
+  std::size_t entry_count() const noexcept {
+    return engine_.profiles().active_count();
+  }
 
-  bool empty() const noexcept { return forwarded_->active_count() == 0; }
-
-  /// Matcher over the installed entries, lazily rebuilt after mutations.
-  const TreeMatcher& matcher(const OrderingPolicy& policy,
-                             const std::optional<JointDistribution>& dist);
+  /// Compiled tree over the installed entries (FilterEngine::snapshot():
+  /// rebuilt first when a mutation made it stale). An event crosses the
+  /// link when it matches at least one entry.
+  std::shared_ptr<const FlatProfileTree> snapshot() {
+    return engine_.snapshot();
+  }
 
  private:
   struct Installed {
     std::uint64_t key;
-    Profile profile;
-    ProfileId id;  ///< id inside forwarded_
+    ProfileId id;  ///< id inside engine_
   };
   struct Suppressed {
     std::uint64_t key;
@@ -98,12 +104,13 @@ class LinkTable {
     std::uint64_t covered_by;  ///< key of the installed entry that covers it
   };
 
-  SchemaPtr schema_;
-  std::unique_ptr<ProfileSet> forwarded_;
+  const Profile& installed_profile(const Installed& entry) const {
+    return engine_.profiles().profile(entry.id);
+  }
+
+  FilterEngine engine_;
   std::vector<Installed> installed_;
   std::vector<Suppressed> suppressed_;
-  std::unique_ptr<TreeMatcher> matcher_;  // lazily rebuilt
-  std::uint64_t matcher_version_ = ~0ULL;
 };
 
 }  // namespace genas::net

@@ -13,8 +13,9 @@
 // Node indices, child-slot encoding, and per-cell costs are copied verbatim
 // from the source ProfileTree, so the operation counts are exactly the ones
 // the node form's cost model (expected_cost) predicts. The flat form is the
-// only form that matches events: TreeMatcher, FilterEngine, and the broker
-// snapshots hold nothing else, and the node form is dropped once compiled.
+// only form that matches events. FilterEngine is the one owner that builds
+// and caches it — for the broker's snapshots, the routing tables' links and
+// the overlay's brokers — and drops the node form once compiled.
 //
 // Immutable after compile(); matching is allocation-free, noexcept, and
 // safe to run from any number of threads concurrently.

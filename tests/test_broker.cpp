@@ -255,64 +255,6 @@ TEST_F(BrokerTest, AdaptiveBrokerAccountsChurnAndDriftRebuilds) {
             static_cast<std::uint64_t>(snapshot_rebuilds + adaptive_rebuilds));
 }
 
-// --- delivery sinks ---------------------------------------------------------
-
-TEST_F(BrokerTest, MultipleDeliverySinksAllObserveAndSetOnlySwapsItsOwn) {
-  // Regression: set_delivery_sink used to silently clobber whatever sink was
-  // installed — an internal tap could knock out a user sink. Sinks added
-  // through add_delivery_sink are independent; set_delivery_sink swaps only
-  // the sink it installed itself.
-  int user = 0;
-  int first_default = 0;
-  int second_default = 0;
-  broker_.subscribe("temperature >= 35", [](const Notification&) {});
-
-  const SinkId user_sink =
-      broker_.add_delivery_sink([&](const Notification&) { ++user; });
-  broker_.set_delivery_sink([&](const Notification&) { ++first_default; });
-
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 1);
-  EXPECT_EQ(first_default, 1);
-
-  // Explicit swap: replaces the previous set_delivery_sink slot only.
-  broker_.set_delivery_sink([&](const Notification&) { ++second_default; });
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 2);          // survived the swap
-  EXPECT_EQ(first_default, 1); // swapped out
-  EXPECT_EQ(second_default, 1);
-
-  // Clearing the default slot leaves added sinks installed.
-  broker_.set_delivery_sink(nullptr);
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 3);
-  EXPECT_EQ(second_default, 1);
-
-  broker_.remove_delivery_sink(user_sink);
-  broker_.publish("temperature = 40; humidity = 0; radiation = 1");
-  EXPECT_EQ(user, 3);
-  EXPECT_THROW(broker_.remove_delivery_sink(user_sink), Error);
-  EXPECT_THROW(broker_.add_delivery_sink(nullptr), Error);
-}
-
-TEST_F(BrokerTest, SinksObserveBatchDeliveries) {
-  int sink_batch = 0;
-  int sink_added = 0;
-  broker_.subscribe("temperature >= 35", [](const Notification&) {});
-  broker_.set_delivery_sink([&](const Notification&) { ++sink_batch; });
-  broker_.add_delivery_sink([&](const Notification&) { ++sink_added; });
-
-  std::vector<Event> events;
-  for (int i = 0; i < 4; ++i) {
-    events.push_back(Event::from_pairs(
-        schema_, {{"temperature", 40}, {"humidity", i}, {"radiation", 1}}));
-  }
-  const BatchPublishResult result = broker_.publish_batch(events);
-  EXPECT_EQ(result.notified, 4u);
-  EXPECT_EQ(sink_batch, 4);
-  EXPECT_EQ(sink_added, 4);
-}
-
 TEST_F(BrokerTest, BatchSurvivesReentrantSubscribeAndPublishMidDrain) {
   // Regression: publish_batch used to scope its snapshot handle inside the
   // matching block while the drain dereferenced raw pointers into it — a

@@ -1,12 +1,12 @@
-// Cross-matcher agreement: naive, counting, and tree matchers must produce
-// identical matched sets on random workloads.
+// Cross-matcher agreement: the naive and counting matchers and the compiled
+// flat tree must produce identical matched sets on random workloads.
 #include <gtest/gtest.h>
 
+#include "core/ordering_policy.hpp"
 #include "dist/sampler.hpp"
 #include "dist/shapes.hpp"
 #include "match/counting_matcher.hpp"
 #include "match/naive_matcher.hpp"
-#include "match/tree_matcher.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
 
@@ -75,14 +75,16 @@ TEST_P(MatcherAgreement, AllThreeMatchersAgree) {
   const CountingMatcher counting(profiles);
   OrderingPolicy policy;
   policy.value_order = ValueOrder::kEventProbability;
-  const TreeMatcher tree(profiles, policy, joint);
+  const FlatProfileTree tree =
+      FlatProfileTree::compile(build_tree(profiles, policy, joint));
 
   EventSampler sampler(joint, seed + 100);
   for (int i = 0; i < 300; ++i) {
     const Event event = sampler.sample();
     const auto expected = naive.match(event).matched;
     EXPECT_EQ(counting.match(event).matched, expected) << event.to_string();
-    EXPECT_EQ(tree.match(event).matched, expected) << event.to_string();
+    EXPECT_EQ(testutil::flat_match(tree, event).matched, expected)
+        << event.to_string();
   }
 }
 
@@ -101,7 +103,8 @@ TEST(Matchers, TreeVisitsFarFewerPostingsThanNaiveOnBigSets) {
   const NaiveMatcher naive(profiles);
   OrderingPolicy policy;
   policy.strategy = SearchStrategy::kBinary;
-  const TreeMatcher tree(profiles, policy, joint);
+  const FlatProfileTree tree =
+      FlatProfileTree::compile(build_tree(profiles, policy, joint));
 
   EventSampler sampler(joint, 10);
   std::uint64_t naive_ops = 0;
@@ -154,7 +157,6 @@ TEST(Matchers, Names) {
   set.add(ProfileBuilder(schema).where("a", Op::kEq, 1).build());
   EXPECT_EQ(NaiveMatcher(set).name(), "naive");
   EXPECT_EQ(CountingMatcher(set).name(), "counting");
-  EXPECT_EQ(TreeMatcher(set, {}, std::nullopt).name(), "tree");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -123,77 +124,98 @@ std::vector<Topology> oracle_topologies() {
   };
 }
 
+/// The policies the oracles run under: the natural order, and V1 values
+/// with A2 attributes built for the workload's event distribution.
+std::vector<std::pair<OrderingPolicy, std::optional<JointDistribution>>>
+oracle_policies(const SchemaPtr& schema) {
+  OrderingPolicy event_order;
+  event_order.value_order = ValueOrder::kEventProbability;
+  event_order.attribute_measure = AttributeMeasure::kA2;
+  return {{OrderingPolicy{}, std::nullopt},
+          {event_order, testutil::peak_joint(schema, true, 0.7)}};
+}
+
 TEST(MeshOracle, MatchesOverlayDeliveriesAndRoutingState) {
   for (const Topology& topology : oracle_topologies()) {
-    for (const RoutingMode mode :
-         {RoutingMode::kRouting, RoutingMode::kRoutingCovered}) {
-      const std::string context =
-          topology.name + "/" + std::string(net::to_string(mode));
-      const OracleWorkload workload = make_workload(topology.nodes, 11);
+    const OracleWorkload workload = make_workload(topology.nodes, 11);
+    for (const auto& [policy, distribution] :
+         oracle_policies(workload.schema)) {
+      for (const RoutingMode mode :
+           {RoutingMode::kRouting, RoutingMode::kRoutingCovered}) {
+        const std::string context = topology.name + "/" +
+                                    std::string(net::to_string(mode)) + "/" +
+                                    policy.label();
 
-      // The deterministic single-threaded simulation.
-      OverlayOptions overlay_options;
-      overlay_options.mode = mode;
-      OverlayNetwork overlay(workload.schema, overlay_options);
-      for (std::size_t n = 0; n < topology.nodes; ++n) overlay.add_broker();
-      for (const auto& [a, b] : topology.links) overlay.connect(a, b);
+        // The deterministic single-threaded simulation.
+        OverlayOptions overlay_options;
+        overlay_options.mode = mode;
+        overlay_options.policy = policy;
+        overlay_options.event_distribution = distribution;
+        OverlayNetwork overlay(workload.schema, overlay_options);
+        for (std::size_t n = 0; n < topology.nodes; ++n) overlay.add_broker();
+        for (const auto& [a, b] : topology.links) overlay.connect(a, b);
 
-      // The concurrent runtime under test.
-      MeshOptions mesh_options;
-      mesh_options.mode = mode;
-      MeshNetwork mesh(workload.schema, mesh_options);
-      for (std::size_t n = 0; n < topology.nodes; ++n) mesh.add_node();
-      for (const auto& [a, b] : topology.links) mesh.connect(a, b);
-      mesh.start();
+        // The concurrent runtime under test.
+        MeshOptions mesh_options;
+        mesh_options.mode = mode;
+        mesh_options.policy = policy;
+        mesh_options.event_distribution = distribution;
+        MeshNetwork mesh(workload.schema, mesh_options);
+        for (std::size_t n = 0; n < topology.nodes; ++n) mesh.add_node();
+        for (const auto& [a, b] : topology.links) mesh.connect(a, b);
+        mesh.start();
 
-      DeliveryLog log;
-      std::vector<SubscriptionId> keys;
-      for (const auto& [node, profile] : workload.subscriptions) {
-        overlay.subscribe(node, profile);
-        keys.push_back(mesh.subscribe(
-            node, profile, [&log](NodeId, SubscriptionId key,
-                                  const Event& event) {
-              log.record(key, event);
-            }));
-        // Serialize propagation so covering sees the overlay's install
-        // order (the routing state is order-sensitive by design).
+        DeliveryLog log;
+        std::vector<SubscriptionId> keys;
+        for (const auto& [node, profile] : workload.subscriptions) {
+          overlay.subscribe(node, profile);
+          keys.push_back(mesh.subscribe(
+              node, profile, [&log](NodeId, SubscriptionId key,
+                                    const Event& event) {
+                log.record(key, event);
+              }));
+          // Serialize propagation so covering sees the overlay's install
+          // order (the routing state is order-sensitive by design).
+          mesh.wait_idle();
+        }
+
+        // Identical per-node routing-entry counts after full propagation.
+        for (std::size_t n = 0; n < topology.nodes; ++n) {
+          EXPECT_EQ(mesh.routing_entries(n), overlay.routing_entries(n))
+              << context << " node " << n;
+          EXPECT_EQ(mesh.local_subscriptions(n), overlay.local_subscriptions(n))
+              << context << " node " << n;
+        }
+
+        std::size_t overlay_deliveries = 0;
+        for (const auto& [node, event] : workload.events) {
+          overlay_deliveries += overlay.publish(node, event);
+          mesh.publish(node, event);
+        }
         mesh.wait_idle();
+
+        // Identical delivery multiset — and both equal the brute-force truth.
+        const auto expected = reference_multiset(workload, keys);
+        EXPECT_EQ(log.sorted(), expected) << context;
+        EXPECT_EQ(overlay_deliveries, expected.size()) << context;
+
+        // Every aggregate agrees. filter_operations too: both runtimes build
+        // every tree, local and per link, through FilterEngine, so they match
+        // on identical trees.
+        const OverlayStats& simulated = overlay.stats();
+        const OverlayStats actual = mesh.stats();
+        EXPECT_EQ(actual.events_published, simulated.events_published)
+            << context;
+        EXPECT_EQ(actual.deliveries, simulated.deliveries) << context;
+        EXPECT_EQ(actual.event_messages, simulated.event_messages) << context;
+        EXPECT_EQ(actual.profile_messages, simulated.profile_messages)
+            << context;
+        EXPECT_EQ(actual.filter_operations, simulated.filter_operations)
+            << context;
+
+        mesh.shutdown();
+        EXPECT_EQ(mesh.first_error(), "");
       }
-
-      // Identical per-node routing-entry counts after full propagation.
-      for (std::size_t n = 0; n < topology.nodes; ++n) {
-        EXPECT_EQ(mesh.routing_entries(n), overlay.routing_entries(n))
-            << context << " node " << n;
-        EXPECT_EQ(mesh.local_subscriptions(n), overlay.local_subscriptions(n))
-            << context << " node " << n;
-      }
-
-      std::size_t overlay_deliveries = 0;
-      for (const auto& [node, event] : workload.events) {
-        overlay_deliveries += overlay.publish(node, event);
-        mesh.publish(node, event);
-      }
-      mesh.wait_idle();
-
-      // Identical delivery multiset — and both equal the brute-force truth.
-      const auto expected = reference_multiset(workload, keys);
-      EXPECT_EQ(log.sorted(), expected) << context;
-      EXPECT_EQ(overlay_deliveries, expected.size()) << context;
-
-      // Aggregate stats agree wherever both runtimes define them the same
-      // way (filter_operations differ: the broker engine and the overlay's
-      // matcher count comparisons over different tree builds).
-      const OverlayStats& simulated = overlay.stats();
-      const OverlayStats actual = mesh.stats();
-      EXPECT_EQ(actual.events_published, simulated.events_published)
-          << context;
-      EXPECT_EQ(actual.deliveries, simulated.deliveries) << context;
-      EXPECT_EQ(actual.event_messages, simulated.event_messages) << context;
-      EXPECT_EQ(actual.profile_messages, simulated.profile_messages)
-          << context;
-
-      mesh.shutdown();
-      EXPECT_EQ(mesh.first_error(), "");
     }
   }
 }
@@ -237,9 +259,70 @@ TEST(MeshOracle, FloodingAgreesToo) {
   mesh.wait_idle();
 
   EXPECT_EQ(log.sorted(), reference_multiset(workload, keys));
-  // Flooding crosses every link for every event: counts must agree.
+  // Flooding crosses every link for every event: counts must agree, and
+  // each node matches locally on the same tree in both runtimes.
   EXPECT_EQ(mesh.stats().event_messages, overlay.stats().event_messages);
+  EXPECT_EQ(mesh.stats().filter_operations,
+            overlay.stats().filter_operations);
   mesh.shutdown();
+}
+
+TEST(MeshOracle, EventOrderWithoutDistributionFallsBackToUniform) {
+  // V1 needs P_e. With none given, every tree — each broker's and each
+  // link's — is built for a uniform P_e, so an event still crosses the
+  // link to the far subscriber instead of failing there.
+  const SchemaPtr schema = testutil::example1_schema();
+  OrderingPolicy policy;
+  policy.value_order = ValueOrder::kEventProbability;
+  const Profile hot = parse_profile(schema, "temperature >= 35");
+  const Event event = Event::from_pairs(
+      schema, {{"temperature", 40}, {"humidity", 50}, {"radiation", 1}});
+
+  for (const RoutingMode mode :
+       {RoutingMode::kRouting, RoutingMode::kRoutingCovered}) {
+    const std::string context(net::to_string(mode));
+
+    MeshOptions mesh_options;
+    mesh_options.mode = mode;
+    mesh_options.policy = policy;
+    MeshNetwork mesh(schema, mesh_options);
+    mesh.add_node();
+    mesh.add_node();
+    mesh.connect(0, 1);
+    mesh.start();
+    DeliveryLog log;
+    const auto record = [&log](NodeId, SubscriptionId key,
+                               const Event& delivered) {
+      log.record(key, delivered);
+    };
+    const SubscriptionId near = mesh.subscribe(0, hot, record);
+    const SubscriptionId far = mesh.subscribe(1, hot, record);
+    mesh.wait_idle();
+    mesh.publish(0, event);
+    mesh.wait_idle();
+
+    const std::vector<std::pair<SubscriptionId, Timestamp>> both = {
+        {near, event.time()}, {far, event.time()}};
+    EXPECT_EQ(log.sorted(), both) << context;
+    EXPECT_EQ(mesh.stats().deliveries, 2u) << context;
+    mesh.shutdown();
+    EXPECT_EQ(mesh.first_error(), "") << context;
+
+    OverlayOptions overlay_options;
+    overlay_options.mode = mode;
+    overlay_options.policy = policy;
+    OverlayNetwork overlay(schema, overlay_options);
+    overlay.add_broker();
+    overlay.add_broker();
+    overlay.connect(0, 1);
+    overlay.subscribe(0, hot);
+    overlay.subscribe(1, hot);
+    EXPECT_EQ(overlay.publish(0, event), 2u) << context;
+
+    EXPECT_EQ(overlay.stats().filter_operations,
+              mesh.stats().filter_operations)
+        << context;
+  }
 }
 
 class MeshRuntimeTest : public ::testing::Test {
