@@ -1,10 +1,10 @@
 // Standalone composite-detection throughput report: events/sec through
 // Broker::publish_batch with a population of composite subscriptions driving
 // the detector, against the plain-subscription baseline on the identical
-// workload. Merged into BENCH_throughput.json (tools/run_bench.sh runs this
-// after bench_mesh).
+// workload, printed as `key = value` lines on stdout. Single-shot numbers
+// for reading by hand; the repository's performance record is perfbench/.
 //
-//   ./bench_composite [output.json] [--quick]
+//   ./bench_composite [--quick]
 //
 // Workload: 3-attribute schema, gauss events with an increasing timestamp
 // axis; the composite population mixes seq/conj/disj/neg over range leaves.
@@ -14,15 +14,14 @@
 // The *wide* workload is the dispatch-index case: hundreds of composites
 // over selective bucket leaves, so each stimulus affects a handful of
 // entries. It runs twice — per-leaf dispatch index on (the default) and off
-// (the O(subscriptions) sweep) — and aborts unless both produce the
-// identical firing multiset; the two entries' ratio is the index speedup.
+// (the O(subscriptions) sweep) — and exits non-zero unless both produce
+// the identical firing multiset; the two entries' ratio is the index speedup.
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "dist/sampler.hpp"
 #include "ens/broker.hpp"
 #include "sim/workload.hpp"
@@ -167,15 +166,7 @@ double measure(Broker& broker, const std::vector<Event>& events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string output = "BENCH_throughput.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      output = argv[i];
-    }
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   const SchemaPtr schema = SchemaBuilder()
                                .add_integer("a0", 0, 99)
@@ -239,10 +230,7 @@ int main(int argc, char** argv) {
             << index_digest.count << " firings\n";
 
   for (const auto& [key, rate] : entries) {
-    std::cerr << key << " = " << static_cast<std::uint64_t>(rate) << "\n";
+    std::cout << key << " = " << static_cast<std::uint64_t>(rate) << "\n";
   }
-  genas::benchutil::merge_json(output, entries);
-  std::cout << "merged " << entries.size() << " composite entries into "
-            << output << "\n";
   return 0;
 }

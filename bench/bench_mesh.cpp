@@ -1,9 +1,9 @@
 // Standalone mesh throughput report: aggregate events/sec of the concurrent
 // broker mesh on 4-node line and star topologies across the three routing
-// modes, merged into BENCH_throughput.json next to the single-broker
-// numbers (tools/run_bench.sh runs this after bench_perf_report).
+// modes, printed as `key = value` lines on stdout. Single-shot numbers for
+// reading by hand; the repository's performance record is perfbench/.
 //
-//   ./bench_mesh [output.json] [--quick]
+//   ./bench_mesh [--quick]
 //
 // Workload: 240 range profiles (don't-cares + overlaps, so covering has
 // state to elide) spread round-robin across the nodes, gauss events
@@ -15,7 +15,7 @@
 // traffic, one frame per event, kept comparable with earlier reports —
 // while `mesh_*_batched_events_per_sec` leaves link batching at its
 // default and feeds the ingress through publish_batch. The gap between the
-// two is what batched link frames buy. The batched runs also merge the
+// two is what batched link frames buy. The batched runs also report the
 // measured coalescing ratio as mesh_link_events_per_frame_avg.
 #include <atomic>
 #include <chrono>
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "dist/sampler.hpp"
 #include "mesh/mesh.hpp"
 #include "obs/metrics.hpp"
@@ -138,15 +137,7 @@ ModeResult measure_mode(const Topology& topology, net::RoutingMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string output = "BENCH_throughput.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      output = argv[i];
-    }
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   const SchemaPtr schema = SchemaBuilder()
                                .add_integer("a0", 0, 99)
@@ -178,7 +169,9 @@ int main(int argc, char** argv) {
       {"covered", net::RoutingMode::kRoutingCovered},
   };
 
-  std::vector<std::pair<std::string, double>> entries;
+  const auto report = [](const std::string& key, double value) {
+    std::cout << key << " = " << static_cast<std::uint64_t>(value) << "\n";
+  };
   double total_frames = 0;
   double total_frame_events = 0;
   for (const Topology& topology : topologies) {
@@ -188,38 +181,25 @@ int main(int argc, char** argv) {
 
       const ModeResult legacy =
           measure_mode(topology, mode, schema, profiles, events, false);
-      std::cerr << base << "_events_per_sec = "
-                << static_cast<std::uint64_t>(legacy.events_per_sec) << "\n";
-      entries.emplace_back(base + "_events_per_sec", legacy.events_per_sec);
+      report(base + "_events_per_sec", legacy.events_per_sec);
 
       const ModeResult batched =
           measure_mode(topology, mode, schema, profiles, events, true);
-      std::cerr << base << "_batched_events_per_sec = "
-                << static_cast<std::uint64_t>(batched.events_per_sec) << "\n";
-      entries.emplace_back(base + "_batched_events_per_sec",
-                           batched.events_per_sec);
+      report(base + "_batched_events_per_sec", batched.events_per_sec);
       // Link-layer rate: event transmissions the wire path encoded,
-      // framed, and decoded per second — the figure comparable to the
-      // local snapshot_batch256 path (each event counts once per link it
-      // crosses, which is what the link layer actually moves).
+      // framed, and decoded per second (each event counts once per link
+      // it crosses, which is what the link layer actually moves).
       if (batched.elapsed > 0) {
-        const double link_rate = batched.frame_events / batched.elapsed;
-        std::cerr << base << "_batched_link_events_per_sec = "
-                  << static_cast<std::uint64_t>(link_rate) << "\n";
-        entries.emplace_back(base + "_batched_link_events_per_sec",
-                             link_rate);
+        report(base + "_batched_link_events_per_sec",
+               batched.frame_events / batched.elapsed);
       }
       total_frames += batched.frames;
       total_frame_events += batched.frame_events;
     }
   }
   if (total_frames > 0) {
-    const double avg = total_frame_events / total_frames;
-    std::cerr << "mesh_link_events_per_frame_avg = " << avg << "\n";
-    entries.emplace_back("mesh_link_events_per_frame_avg", avg);
+    std::cout << "mesh_link_events_per_frame_avg = "
+              << total_frame_events / total_frames << "\n";
   }
-  benchutil::merge_json(output, entries);
-  std::cout << "merged " << entries.size() << " mesh entries into " << output
-            << "\n";
   return 0;
 }

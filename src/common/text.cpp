@@ -59,24 +59,20 @@ std::string format_double(double v, int precision) {
   return s;
 }
 
-bool is_integer(std::string_view s) noexcept {
-  s = trim(s);
-  if (s.empty()) return false;
-  std::int64_t value = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  return ec == std::errc{} && ptr == last;
+template <class T>
+std::optional<T> parse_number(std::string_view token) noexcept {
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
 }
 
-bool is_number(std::string_view s) noexcept {
-  s = trim(s);
-  if (s.empty()) return false;
-  double value = 0.0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  return ec == std::errc{} && ptr == last;
-}
+template std::optional<int> parse_number<int>(std::string_view) noexcept;
+template std::optional<std::int64_t> parse_number<std::int64_t>(
+    std::string_view) noexcept;
+template std::optional<std::size_t> parse_number<std::size_t>(
+    std::string_view) noexcept;
+template std::optional<double> parse_number<double>(std::string_view) noexcept;
 
 }  // namespace genas

@@ -1,6 +1,9 @@
 // GENAS — small string utilities shared by the parser and report writers.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,10 +26,11 @@ std::string to_lower(std::string_view s);
 /// ("1.50" -> "1.5", "2.00" -> "2").
 std::string format_double(double v, int precision = 4);
 
-/// True when the string is a valid integer literal (optional sign).
-bool is_integer(std::string_view s) noexcept;
-
-/// True when the string parses as a floating-point literal.
-bool is_number(std::string_view s) noexcept;
+/// Parses the whole token as a number with std::from_chars: an optional
+/// leading '-', no padding, no '+'. Returns nullopt for an empty token,
+/// trailing bytes or a value out of T's range. Instantiated for int,
+/// std::int64_t, std::size_t and double.
+template <class T>
+std::optional<T> parse_number(std::string_view token) noexcept;
 
 }  // namespace genas

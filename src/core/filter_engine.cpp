@@ -59,6 +59,17 @@ void FilterEngine::rebuild_locked(const JointDistribution& distribution) {
   if (adaptive_.has_value()) adaptive_->mark_rebuilt(distribution);
 }
 
+std::string FilterEngine::tree_dump() {
+  ensure_fresh();
+  // rebuild_locked hands every distribution it builds against to the
+  // adaptive loop as its baseline; without the loop it is the (fixed)
+  // effective distribution.
+  return build_tree(profiles_, options_.policy,
+                    adaptive_.has_value() ? *adaptive_->baseline()
+                                          : effective_distribution())
+      .dump();
+}
+
 void FilterEngine::rebuild() { rebuild_locked(effective_distribution()); }
 
 void FilterEngine::ensure_fresh() {

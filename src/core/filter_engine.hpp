@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -99,6 +100,10 @@ class FilterEngine {
   /// simply keeps seeing the profile set as of this call. FlatMatch results
   /// point into the tree, so hold the shared_ptr while using them.
   std::shared_ptr<const FlatProfileTree> snapshot();
+
+  /// Text dump of the current tree (rebuilt first if stale), in the node
+  /// form, for the distribution the engine last built it against.
+  std::string tree_dump();
 
   std::uint64_t rebuild_count() const noexcept { return rebuild_count_; }
 

@@ -1,6 +1,5 @@
 #include "dist/catalog.hpp"
 
-#include <charconv>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -14,15 +13,6 @@ namespace {
 
 /// Seed base for the numbered entries; changing it would change every dK.
 constexpr std::uint64_t kCatalogSeed = 0x47454E41532D6431ULL;  // "GENAS-d1"
-
-/// Parses a decimal int, mapping overflow and trailing garbage to -1 so
-/// the caller's range check rejects it with the library's own Error.
-int parse_int_or_negative(std::string_view s) {
-  int value = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || end != s.data() + s.size()) return -1;
-  return value;
-}
 
 }  // namespace
 
@@ -82,25 +72,27 @@ DiscreteDistribution DistributionCatalog::by_name(std::string_view name) const {
   if (key == "falling") return shapes::falling(domain_size_);
   if (key == "rising") return shapes::rising(domain_size_);
 
-  // dK — numbered entry.
-  if (key.size() >= 2 && key.front() == 'd' && is_integer(key.substr(1))) {
-    const int k = parse_int_or_negative(std::string_view(key).substr(1));
-    GENAS_REQUIRE(k >= 1 && k <= kNumbered, ErrorCode::kNotFound,
-                  "no catalog entry named '" + key + "'");
-    return numbered(k);
+  // dK — numbered entry; any other dK falls through to "no entry".
+  if (key.front() == 'd') {
+    const auto k = parse_number<int>(std::string_view(key).substr(1));
+    if (k && *k >= 1 && *k <= kNumbered) return numbered(*k);
   }
 
-  // "NN% high" / "NN% low" — percent peaks.
+  // "NN% high" / "NN% low" — percent peaks. A count padded before the '%'
+  // ("5 % high") names a percent peak, but not a valid mass.
   const std::size_t percent = key.find('%');
-  if (percent != std::string::npos && is_integer(key.substr(0, percent))) {
-    const int pct =
-        parse_int_or_negative(std::string_view(key).substr(0, percent));
-    GENAS_REQUIRE(pct >= 1 && pct <= 100, ErrorCode::kInvalidArgument,
+  const std::string_view mass = std::string_view(key).substr(0, percent);
+  const auto pct = percent == std::string::npos
+                       ? std::nullopt
+                       : parse_number<std::int64_t>(trim(mass));
+  if (pct) {
+    GENAS_REQUIRE(mass == trim(mass) && *pct >= 1 && *pct <= 100,
+                  ErrorCode::kInvalidArgument,
                   "percent peak mass must lie in 1..100");
     const std::string_view tail = trim(std::string_view(key).substr(percent + 1));
     GENAS_REQUIRE(tail == "high" || tail == "low", ErrorCode::kParse,
                   "percent peak must end in 'high' or 'low'");
-    return shapes::percent_peak(domain_size_, static_cast<double>(pct) / 100.0,
+    return shapes::percent_peak(domain_size_, static_cast<double>(*pct) / 100.0,
                                 tail == "high");
   }
 

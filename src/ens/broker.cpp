@@ -641,14 +641,7 @@ ProfileStatistics Broker::profile_statistics() const {
 
 std::string Broker::tree_dump() {
   const std::scoped_lock lock(mutex_);
-  (void)engine_.snapshot();  // refresh a stale tree first
-  // The live tree was built for the adaptive baseline when the loop is on,
-  // else for the (fixed) effective distribution.
-  const AdaptiveController* adaptive = engine_.adaptive();
-  return build_tree(engine_.profiles(), engine_.policy(),
-                    adaptive != nullptr ? *adaptive->baseline()
-                                        : engine_.effective_distribution())
-      .dump();
+  return engine_.tree_dump();
 }
 
 }  // namespace genas

@@ -236,9 +236,8 @@ class Broker {
   /// Profile-side statistics (P_p) over the current subscriptions.
   ProfileStatistics profile_statistics() const;
 
-  /// Structural dump of the current profile tree (rebuilds if stale). A
-  /// diagnostic: it rebuilds the node form from the profile set, the policy,
-  /// and the distribution the live tree was built for.
+  /// Structural dump of the current profile tree (rebuilds if stale): the
+  /// engine's FilterEngine::tree_dump, taken under the mutation lock.
   std::string tree_dump();
 
  private:

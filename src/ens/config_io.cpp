@@ -1,6 +1,5 @@
 #include "ens/config_io.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -102,14 +101,9 @@ namespace {
               "config line " + std::to_string(line_no) + ": " + what);
 }
 
-double parse_number(std::string_view token, std::size_t line_no) {
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    config_fail(line_no, "expected a number, got '" + std::string(token) + "'");
-  }
-  return v;
+double parse_real(std::string_view token, std::size_t line_no) {
+  if (const auto v = parse_number<double>(token)) return *v;
+  config_fail(line_no, "expected a number, got '" + std::string(token) + "'");
 }
 
 std::vector<std::string> parse_category_list(std::string_view payload,
@@ -211,13 +205,13 @@ ServiceConfig load_config(std::istream& is) {
       if (kind == "int" && tokens.size() == 2) {
         builder.add_integer(name,
                             static_cast<std::int64_t>(
-                                parse_number(tokens[0], line_no)),
+                                parse_real(tokens[0], line_no)),
                             static_cast<std::int64_t>(
-                                parse_number(tokens[1], line_no)));
+                                parse_real(tokens[1], line_no)));
       } else if (kind == "real" && tokens.size() == 3) {
-        builder.add_real(name, parse_number(tokens[0], line_no),
-                         parse_number(tokens[1], line_no),
-                         parse_number(tokens[2], line_no));
+        builder.add_real(name, parse_real(tokens[0], line_no),
+                         parse_real(tokens[1], line_no),
+                         parse_real(tokens[2], line_no));
       } else if (kind == "cat" && !payload.empty()) {
         builder.add_categorical(name, parse_category_list(payload, line_no));
       } else {
@@ -238,7 +232,7 @@ ServiceConfig load_config(std::istream& is) {
         if (space == std::string_view::npos) {
           config_fail(line_no, "profile line missing expression");
         }
-        weight = parse_number(rest.substr(7, space - 7), line_no);
+        weight = parse_real(rest.substr(7, space - 7), line_no);
         rest = trim(rest.substr(space));
       }
       pending.push_back(PendingProfile{std::string(rest), weight, line_no});

@@ -1,6 +1,5 @@
 #include "mesh/topology.hpp"
 
-#include <charconv>
 #include <istream>
 #include <sstream>
 
@@ -17,14 +16,9 @@ namespace {
 }
 
 std::size_t parse_index(std::string_view token, std::size_t line_no) {
-  std::size_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    topology_fail(line_no,
-                  "expected a node id, got '" + std::string(token) + "'");
-  }
-  return v;
+  if (const auto v = parse_number<std::size_t>(token)) return *v;
+  topology_fail(line_no,
+                "expected a node id, got '" + std::string(token) + "'");
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "profile/parser.hpp"
 
-#include <charconv>
 #include <string>
 
 #include "common/error.hpp"
@@ -20,24 +19,12 @@ Value parse_scalar(const Domain& domain, std::string_view token) {
   token = trim(token);
   if (token.empty()) parse_fail("empty scalar", token);
   switch (domain.kind()) {
-    case ValueKind::kInt: {
-      std::int64_t v = 0;
-      auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), v);
-      if (ec != std::errc{} || ptr != token.data() + token.size()) {
-        parse_fail("expected integer", token);
-      }
-      return Value(v);
-    }
-    case ValueKind::kReal: {
-      double v = 0.0;
-      auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), v);
-      if (ec != std::errc{} || ptr != token.data() + token.size()) {
-        parse_fail("expected real number", token);
-      }
-      return Value(v);
-    }
+    case ValueKind::kInt:
+      if (const auto v = parse_number<std::int64_t>(token)) return Value(*v);
+      parse_fail("expected integer", token);
+    case ValueKind::kReal:
+      if (const auto v = parse_number<double>(token)) return Value(*v);
+      parse_fail("expected real number", token);
     case ValueKind::kCategory:
       return Value(std::string(token));
   }

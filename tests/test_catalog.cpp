@@ -1,6 +1,9 @@
 // Tests for the deterministic d1..d60 distribution catalog.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "common/error.hpp"
 #include "dist/catalog.hpp"
 
@@ -65,6 +68,53 @@ TEST(Catalog, ByNameFailures) {
   EXPECT_THROW(catalog.by_name("bogus"), Error);
   EXPECT_THROW(catalog.by_name("120% high"), Error);
   EXPECT_THROW(catalog.by_name("95% middle"), Error);
+}
+
+// Pins by_name's accept/reject result, error code and message for the
+// numeric forms, padded and overflowing ones included: "d 5" and "5 % high"
+// hold an integer only once their padding is trimmed.
+TEST(Catalog, ByNameNumericKeyTable) {
+  struct Row {
+    const char* name;
+    std::optional<ErrorCode> error;  // nullopt: accepted
+    const char* message;
+  };
+  const Row rows[] = {
+      {"d5", std::nullopt, ""},
+      {"d0", ErrorCode::kNotFound, "no catalog entry named 'd0'"},
+      {"d61", ErrorCode::kNotFound, "no catalog entry named 'd61'"},
+      {"d 5", ErrorCode::kNotFound, "no catalog entry named 'd 5'"},
+      {"d99999999999", ErrorCode::kNotFound,
+       "no catalog entry named 'd99999999999'"},
+      {"50% high", std::nullopt, ""},
+      {"5 % high", ErrorCode::kInvalidArgument,
+       "percent peak mass must lie in 1..100"},
+      {"x% high", ErrorCode::kNotFound, "no catalog entry named 'x% high'"},
+      {"150% low", ErrorCode::kInvalidArgument,
+       "percent peak mass must lie in 1..100"},
+      {"42", ErrorCode::kNotFound, "no catalog entry named '42'"},
+      {"99999999999% high", ErrorCode::kInvalidArgument,
+       "percent peak mass must lie in 1..100"},
+      {"99999999999999999999% high", ErrorCode::kNotFound,
+       "no catalog entry named '99999999999999999999% high'"},
+  };
+  const DistributionCatalog catalog(80);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    if (!row.error.has_value()) {
+      EXPECT_NO_THROW(catalog.by_name(row.name));
+      continue;
+    }
+    try {
+      catalog.by_name(row.name);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), *row.error);
+      EXPECT_NE(std::string_view(error.what()).find(row.message),
+                std::string_view::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Catalog, NamesListResolves) {

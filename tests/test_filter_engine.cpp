@@ -121,6 +121,63 @@ TEST_F(FilterEngineTest, AdaptiveLoopRebuildsOnDrift) {
   EXPECT_GE(engine.adaptive()->rebuilds(), 2u);
 }
 
+TEST_F(FilterEngineTest, TreeDumpFollowsThePriorTheTreeWasBuiltFor) {
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  options.prior = JointDistribution::independent(
+      schema_, {shapes::percent_peak(81, 0.9, true, 0.1), shapes::equal(101),
+                shapes::equal(100)});
+  FilterEngine engine(schema_, options);
+  engine.subscribe("temperature >= 35 && humidity >= 90");
+  engine.subscribe("temperature <= -20");
+
+  const std::string dump = engine.tree_dump();
+  EXPECT_EQ(dump,
+            build_tree(engine.profiles(), engine.policy(), *options.prior)
+                .dump());
+  EXPECT_EQ(engine.rebuild_count(), 1u);  // the dump refreshed the stale tree
+  EXPECT_EQ(engine.tree_dump(), dump);    // and did not rebuild it again
+  EXPECT_EQ(engine.rebuild_count(), 1u);
+}
+
+TEST_F(FilterEngineTest, TreeDumpFollowsTheAdaptiveBaselineAfterDrift) {
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 300;
+  adaptive.rebuild_cooldown = 300;
+  adaptive.drift_threshold = 0.4;
+  adaptive.decay = 0.995;
+  options.adaptive = adaptive;
+  FilterEngine engine(schema_, options);
+  engine.subscribe("temperature >= 35");
+  engine.subscribe("temperature <= -20");
+  const std::string uniform_dump = engine.tree_dump();
+
+  EventSampler low(JointDistribution::independent(
+                       schema_, {shapes::percent_peak(81, 0.95, false, 0.1),
+                                 shapes::equal(101), shapes::equal(100)}),
+                   1);
+  for (int i = 0; i < 600; ++i) engine.match(low.sample());
+  EventSampler high(JointDistribution::independent(
+                        schema_, {shapes::percent_peak(81, 0.95, true, 0.1),
+                                  shapes::equal(101), shapes::equal(100)}),
+                    2);
+  bool drift_rebuilt = false;
+  for (int i = 0; i < 2000; ++i) {
+    drift_rebuilt |= engine.match(high.sample()).rebuilt;
+  }
+  ASSERT_TRUE(drift_rebuilt);
+
+  ASSERT_NE(engine.adaptive(), nullptr);
+  ASSERT_TRUE(engine.adaptive()->baseline().has_value());
+  const std::string dump = engine.tree_dump();
+  EXPECT_EQ(dump, build_tree(engine.profiles(), engine.policy(),
+                             *engine.adaptive()->baseline())
+                      .dump());
+  EXPECT_NE(dump, uniform_dump);  // the drift rebuild reshaped the tree
+}
+
 TEST_F(FilterEngineTest, SnapshotIsImmutableAcrossMutations) {
   FilterEngine engine(schema_);
   const ProfileId hot = engine.subscribe("temperature >= 35");

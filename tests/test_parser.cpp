@@ -1,7 +1,12 @@
 // Unit tests for the profile/event text parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "profile/parser.hpp"
 #include "test_util.hpp"
 
@@ -102,6 +107,46 @@ TEST_F(ParserTest, CategoricalScalars) {
   EXPECT_EQ(p.predicate(0)->accepted(), IntervalSet::point(1));
   const Event e = parse_event(schema, "state = err; code = 3");
   EXPECT_EQ(e.index(0), 2);
+}
+
+TEST(ParseNumber, ParsesWholeSignedTokens) {
+  EXPECT_EQ(parse_number<int>("42"), std::optional<int>(42));
+  EXPECT_EQ(parse_number<int>("-7"), std::optional<int>(-7));
+  EXPECT_EQ(parse_number<std::int64_t>("-9223372036854775808"),
+            std::optional<std::int64_t>(
+                std::numeric_limits<std::int64_t>::min()));
+  EXPECT_EQ(parse_number<std::size_t>("3"), std::optional<std::size_t>(3));
+  // from_chars takes no '+', and an unsigned target no '-'.
+  EXPECT_EQ(parse_number<int>("+5"), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("-1"), std::nullopt);
+}
+
+TEST(ParseNumber, RejectsOverflow) {
+  EXPECT_EQ(parse_number<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("99999999999"), std::nullopt);
+  EXPECT_EQ(parse_number<std::int64_t>("99999999999"),
+            std::optional<std::int64_t>(99999999999));
+  EXPECT_EQ(parse_number<std::int64_t>("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("1e999"), std::nullopt);
+}
+
+TEST(ParseNumber, RejectsTrailingBytesPaddingAndEmpty) {
+  EXPECT_EQ(parse_number<int>("5x"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("5 "), std::nullopt);
+  EXPECT_EQ(parse_number<int>(" 5"), std::nullopt);
+  EXPECT_EQ(parse_number<int>("1.5"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("1.5.2"), std::nullopt);
+  EXPECT_EQ(parse_number<int>(""), std::nullopt);
+  EXPECT_EQ(parse_number<double>(""), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("-"), std::nullopt);
+}
+
+TEST(ParseNumber, ParsesReals) {
+  EXPECT_EQ(parse_number<double>("2.5"), std::optional<double>(2.5));
+  EXPECT_EQ(parse_number<double>("-0.25"), std::optional<double>(-0.25));
+  EXPECT_EQ(parse_number<double>("1e3"), std::optional<double>(1000.0));
+  EXPECT_EQ(parse_number<double>("7"), std::optional<double>(7.0));
+  EXPECT_EQ(parse_number<double>("abc"), std::nullopt);
 }
 
 }  // namespace
