@@ -615,8 +615,7 @@ int run_connect(int argc, char** argv) {
     net::connect_with_retry(host, port, retries).close();
   }
   net::ClientOptions options;
-  options.reconnect = retries > 1;
-  options.max_redials = retries;
+  options.max_redials = retries > 1 ? retries : 0;
   net::RemoteBrokerClient client(host, port, options);
   std::cout << "connected to " << host << ":" << port << "\n"
             << "schema: " << client.schema()->to_string() << "\n"

@@ -406,11 +406,6 @@ void Broker::update_composite_gauges_locked() {
   composite_watermark_lag_.set(lag);
 }
 
-void Broker::set_composite_dedup_window(std::size_t capacity) {
-  const std::scoped_lock lock(composite_mutex_);
-  composite_ingress_.set_dedup_window(capacity);
-}
-
 std::uint64_t Broker::composite_duplicates_dropped() const {
   const std::scoped_lock lock(composite_mutex_);
   return composite_ingress_.dropped_duplicates();

@@ -119,9 +119,10 @@ class Broker {
   /// deliver the same publish twice (reconnect replay, link retransmission)
   /// tags each event with a stable nonzero token; plain deliveries still
   /// duplicate (at-least-once semantics, counted by the caller), but the
-  /// composite runtime dedups stimuli per (token, leaf) within the window
-  /// set by set_composite_dedup_window(), so a redelivered event never
-  /// double-arms or double-fires a composite. Token 0 == plain publish().
+  /// composite runtime dedups stimuli per (token, leaf) over the most
+  /// recent kCompositeDedupWindow distinct tokens, so a redelivered event
+  /// never double-arms or double-fires a composite. Token 0 == plain
+  /// publish().
   PublishResult publish(const Event& event, std::uint64_t dedup_token);
 
   /// Filters and delivers a batch against one snapshot acquisition:
@@ -191,11 +192,8 @@ class Broker {
   /// (default on). With the index off, every stimulus sweeps all composite
   /// subscriptions; firing multisets are identical in both modes.
   void set_composite_index_enabled(bool enabled);
-  /// Capacity (in distinct tokens) of the composite redelivery filter fed
-  /// by publish(event, dedup_token); 0 (default) disables it. See
-  /// CompositeIngress::set_dedup_window for the eviction contract.
-  void set_composite_dedup_window(std::size_t capacity);
-  /// Stimuli the composite redelivery filter has dropped.
+  /// Stimuli the composite redelivery filter (fed by publish(event,
+  /// dedup_token)) has dropped.
   std::uint64_t composite_duplicates_dropped() const;
 
   /// Installs a drain hook: invoked once per publish()/publish_batch(),

@@ -604,7 +604,7 @@ void CompositeIngress::push(ProfileId profile, Timestamp time) {
 
 bool CompositeIngress::push(ProfileId profile, Timestamp time,
                             std::uint64_t token) {
-  if (dedup_capacity_ > 0 && token != 0) {
+  if (token != 0) {
     auto [it, inserted] = seen_.try_emplace(token);
     if (!inserted) {
       if (std::find(it->second.begin(), it->second.end(), profile) !=
@@ -614,7 +614,7 @@ bool CompositeIngress::push(ProfileId profile, Timestamp time,
       }
     } else {
       seen_order_.push_back(token);
-      while (seen_order_.size() > dedup_capacity_) {
+      while (seen_order_.size() > kCompositeDedupWindow) {
         seen_.erase(seen_order_.front());
         seen_order_.pop_front();
       }
@@ -626,19 +626,6 @@ bool CompositeIngress::push(ProfileId profile, Timestamp time,
   const Timestamp mark = watermark();
   if (mark != kCompositeNever) release_below(mark);
   return true;
-}
-
-void CompositeIngress::set_dedup_window(std::size_t capacity) {
-  dedup_capacity_ = capacity;
-  if (capacity == 0) {
-    seen_.clear();
-    seen_order_.clear();
-    return;
-  }
-  while (seen_order_.size() > capacity) {
-    seen_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
 }
 
 void CompositeIngress::advance_to(Timestamp now) {

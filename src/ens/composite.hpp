@@ -248,6 +248,15 @@ class CompositeDetector {
   std::vector<CompositeId> pending_remove_;
 };
 
+/// Distinct redelivery tokens CompositeIngress remembers. A reconnecting
+/// RemoteBrokerClient replays at most its publish window (256 publishes by
+/// default) and each replayed publish carries one token, so 4096 tokens
+/// catch a full replay even when fifteen other windows' worth of tokened
+/// traffic arrived between the original and the replay. Memory stays
+/// bounded at a few hundred KiB; a redelivery older than the window slips
+/// through and is counted as an at-least-once duplicate.
+inline constexpr std::size_t kCompositeDedupWindow = 4096;
+
 /// Watermark reorder stage in front of a CompositeDetector.
 ///
 /// Distributed delivery is not globally ordered: primitive firings reach a
@@ -271,21 +280,16 @@ class CompositeIngress {
   /// Buffers one stimulus and releases every instant the watermark passed.
   void push(ProfileId profile, Timestamp time);
 
-  /// push() with a redelivery token (at-least-once transports): when a
-  /// dedup window is configured and `token` is nonzero, a (token, profile)
-  /// pair already seen among the most recent `dedup_window()` distinct
-  /// tokens is dropped — redelivered stimuli never double-arm or
-  /// double-fire a composite. Token 0 means "untracked" (never deduped).
-  /// Returns false when the stimulus was dropped as a duplicate.
+  /// push() with a redelivery token (at-least-once transports): when
+  /// `token` is nonzero, a (token, profile) pair already seen among the
+  /// most recent kCompositeDedupWindow distinct tokens is dropped —
+  /// redelivered stimuli never double-arm or double-fire a composite. Once
+  /// the window is full the oldest token is evicted, so a redelivery
+  /// arriving later than kCompositeDedupWindow fresher tokens slips
+  /// through. Token 0 means "untracked" (never deduped). Returns false
+  /// when the stimulus was dropped as a duplicate.
   bool push(ProfileId profile, Timestamp time, std::uint64_t token);
 
-  /// Sets the duplicate-filter capacity, counted in distinct tokens
-  /// (0, the default, disables filtering). The window is bounded: once
-  /// `capacity` distinct tokens are tracked, the oldest is evicted — a
-  /// redelivery arriving later than `capacity` fresher tokens can slip
-  /// through, which is the explicit memory/exactness trade.
-  void set_dedup_window(std::size_t capacity);
-  std::size_t dedup_window() const noexcept { return dedup_capacity_; }
   /// Stimuli dropped by the duplicate filter so far.
   std::uint64_t dropped_duplicates() const noexcept { return dropped_; }
 
@@ -321,8 +325,8 @@ class CompositeIngress {
   Timestamp skew_ = 0;
 
   /// Duplicate filter state: token -> profiles seen under it, with FIFO
-  /// eviction once more than dedup_capacity_ distinct tokens are tracked.
-  std::size_t dedup_capacity_ = 0;
+  /// eviction once more than kCompositeDedupWindow distinct tokens are
+  /// tracked.
   std::unordered_map<std::uint64_t, std::vector<ProfileId>> seen_;
   std::deque<std::uint64_t> seen_order_;
   std::uint64_t dropped_ = 0;

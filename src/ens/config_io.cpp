@@ -106,6 +106,12 @@ double parse_real(std::string_view token, std::size_t line_no) {
   config_fail(line_no, "expected a number, got '" + std::string(token) + "'");
 }
 
+std::int64_t parse_integer(std::string_view token, std::size_t line_no) {
+  if (const auto v = parse_number<std::int64_t>(token)) return *v;
+  config_fail(line_no,
+              "expected a 64-bit integer, got '" + std::string(token) + "'");
+}
+
 std::vector<std::string> parse_category_list(std::string_view payload,
                                              std::size_t line_no) {
   std::vector<std::string> categories;
@@ -203,11 +209,8 @@ ServiceConfig load_config(std::istream& is) {
         if (!w.empty()) tokens.push_back(w);
       }
       if (kind == "int" && tokens.size() == 2) {
-        builder.add_integer(name,
-                            static_cast<std::int64_t>(
-                                parse_real(tokens[0], line_no)),
-                            static_cast<std::int64_t>(
-                                parse_real(tokens[1], line_no)));
+        const std::int64_t lo = parse_integer(tokens[0], line_no);
+        builder.add_integer(name, lo, parse_integer(tokens[1], line_no));
       } else if (kind == "real" && tokens.size() == 3) {
         builder.add_real(name, parse_real(tokens[0], line_no),
                          parse_real(tokens[1], line_no),

@@ -119,8 +119,9 @@ struct MeshNetwork::Node {
     std::atomic<std::uint64_t> event_messages{0};
     std::atomic<std::uint64_t> routing_entries{0};
 
-    // Reliable-link state (all worker-owned: sends, acks, and received
-    // frames for this link are handled exclusively by the owning worker).
+    // Reliable-link state, used only under a fault plan (all worker-owned:
+    // sends, acks, and received frames for this link are handled
+    // exclusively by the owning worker).
     std::uint64_t next_seq = 1;    ///< next envelope sequence to assign
     std::uint64_t acked_out = 0;   ///< highest cumulative ack received
     std::uint64_t highest_tx = 0;  ///< highest sequence transmitted at least once
@@ -140,6 +141,14 @@ struct MeshNetwork::Node {
     std::atomic<std::uint64_t> outbox_hwm{0};
   };
   std::vector<std::unique_ptr<Peer>> peers;
+
+  /// Index into `peers` of the link a frame from `source` arrived on.
+  std::size_t peer_index(NodeId source) const {
+    std::size_t index = 0;
+    while (index < peers.size() && peers[index]->node != source) ++index;
+    GENAS_CHECK(index < peers.size(), "frame from a node that is not a peer");
+    return index;
+  }
 
   /// Mesh subscription key -> local broker subscription id (worker-owned).
   std::unordered_map<SubscriptionId, SubscriptionId> local_subs;
@@ -173,11 +182,10 @@ struct MeshNetwork::Node {
   /// Deepest this node's mailbox has grown (probed under the mailbox lock
   /// at push time, so the high-water costs no extra synchronization).
   std::atomic<std::uint64_t> mailbox_hwm{0};
-  /// Frames currently staged across this node's link outboxes. With
-  /// MeshOptions::outbox_capacity set, ingress blocks while this is at the
-  /// cap (the worker itself keeps staging — admitted frames must go
-  /// somewhere — so the deque can overshoot by the traffic already in
-  /// flight toward this node).
+  /// Frames currently staged across this node's link outboxes. Ingress
+  /// blocks while this is at MeshOptions::mailbox_capacity (the worker
+  /// itself keeps staging — admitted frames must go somewhere — so the
+  /// deque can overshoot by the traffic already admitted to this node).
   std::atomic<std::uint64_t> outbox_total{0};
   /// Receive-side index-vector recycler: decoded batch events draw their
   /// storage here and return it after the round's publish_batch, so steady
@@ -206,6 +214,9 @@ MeshNetwork::MeshNetwork(SchemaPtr schema, MeshOptions options)
       trace_(options_.trace_period) {
   GENAS_REQUIRE(schema_ != nullptr, ErrorCode::kInvalidArgument,
                 "mesh requires a schema");
+  // A mailbox holds at least one message; the outbox gate uses the same cap.
+  options_.mailbox_capacity =
+      std::max<std::size_t>(options_.mailbox_capacity, 1);
   ingress_wait_ = metrics_->histogram(
       "genas_mesh_ingress_wait_ns", obs::default_latency_bounds(),
       "sampled wait of external publishes from enqueue to worker drain");
@@ -267,7 +278,6 @@ NodeId MeshNetwork::add_node() {
                                       "\""));
   node->broker->set_trace_period(options_.trace_period);
   node->broker->set_composite_skew(options_.composite_skew);
-  node->broker->set_composite_dedup_window(options_.composite_dedup_window);
   nodes_.push_back(std::move(node));
   forest_.push_back(forest_.size());
   return nodes_.size() - 1;
@@ -458,17 +468,15 @@ void MeshNetwork::publish_batch(NodeId node, std::vector<Event> events,
 void MeshNetwork::enqueue(NodeId node, NodeMsg message) {
   {
     std::unique_lock<std::mutex> lock(idle_mutex_);
-    if (options_.outbox_capacity > 0) {
-      // Ingress backpressure: while the node's staged outboxes are at
-      // capacity (a stalled peer), external producers wait here before the
-      // message is admitted. Workers never wait — admitted traffic keeps
-      // draining and forwarding — so this cannot deadlock the mesh.
-      idle_cv_.wait(lock, [&] {
-        return !(running_ && accepting_) ||
-               nodes_[node]->outbox_total.load(std::memory_order_relaxed) <
-                   options_.outbox_capacity;
-      });
-    }
+    // Ingress backpressure: while the node's staged outboxes are at
+    // capacity (a stalled peer), external producers wait here before the
+    // message is admitted. Workers never wait — admitted traffic keeps
+    // draining and forwarding — so this cannot deadlock the mesh.
+    idle_cv_.wait(lock, [&] {
+      return !(running_ && accepting_) ||
+             nodes_[node]->outbox_total.load(std::memory_order_relaxed) <
+                 options_.mailbox_capacity;
+    });
     GENAS_REQUIRE(running_ && accepting_, ErrorCode::kState,
                   "mesh is not accepting work (not started, or shut down)");
     inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -619,8 +627,8 @@ bool MeshNetwork::flush_outboxes(Node& node) {
   if (drained > 0) {
     const std::uint64_t before =
         node.outbox_total.fetch_sub(drained, std::memory_order_relaxed);
-    const std::size_t cap = options_.outbox_capacity;
-    if (cap > 0 && before >= cap && before - drained < cap) {
+    const std::size_t cap = options_.mailbox_capacity;
+    if (before >= cap && before - drained < cap) {
       // The staged total just crossed back under the ingress cap: wake
       // producers parked in enqueue() (mutex taken so a waiter between its
       // predicate check and wait() cannot miss the notification).
@@ -641,8 +649,9 @@ void MeshNetwork::broadcast_frame(Node& node, std::size_t skip_index,
 
 void MeshNetwork::send_link(Node& node, std::size_t peer_index,
                             const Bytes& inner) {
-  if (!options_.reliable_links) {
-    transmit(node, peer_index, NodeMsg{FrameMsg{node.id, inner}});
+  if (options_.fault_plan == nullptr) {
+    // Nothing on an in-process link can lose the frame: send it bare.
+    send_frame(node, peer_index, NodeMsg{FrameMsg{node.id, inner}});
     return;
   }
   Node::Peer& peer = *node.peers[peer_index];
@@ -662,11 +671,7 @@ void MeshNetwork::send_link(Node& node, std::size_t peer_index,
 void MeshNetwork::transmit(Node& node, std::size_t peer_index,
                            NodeMsg message) {
   Node::Peer& peer = *node.peers[peer_index];
-  net::FaultAction action = net::FaultAction::kNone;
-  if (options_.fault_plan != nullptr) {
-    action = options_.fault_plan->apply(node.id, peer.node);
-  }
-  switch (action) {
+  switch (options_.fault_plan->apply(node.id, peer.node)) {
     case net::FaultAction::kDrop:
       return;  // never enqueued, so never counted in flight
     case net::FaultAction::kDelay:
@@ -690,7 +695,7 @@ void MeshNetwork::transmit(Node& node, std::size_t peer_index,
 }
 
 bool MeshNetwork::link_service(Node& node) {
-  if (!options_.reliable_links && options_.fault_plan == nullptr) return false;
+  if (options_.fault_plan == nullptr) return false;
   bool pending = false;
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t p = 0; p < node.peers.size(); ++p) {
@@ -811,16 +816,7 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
     wire::Message decoded = wire::decode_message(*frame->bytes, schema_);
 
     if (auto* link = std::get_if<wire::LinkFrameMsg>(&decoded)) {
-      std::size_t from_index = node.peers.size();
-      for (std::size_t p = 0; p < node.peers.size(); ++p) {
-        if (node.peers[p]->node == frame->source) {
-          from_index = p;
-          break;
-        }
-      }
-      GENAS_CHECK(from_index < node.peers.size(),
-                  "link envelope from a node that is not a peer");
-      Node::Peer& from = *node.peers[from_index];
+      Node::Peer& from = *node.peers[node.peer_index(frame->source)];
       // Go-back-N receive: exactly the expected sequence is processed.
       // Anything else is discarded (duplicates from retransmission,
       // out-of-order frames behind a loss) and the cumulative ack tells the
@@ -855,15 +851,7 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
     }
 
     if (auto* ack = std::get_if<wire::LinkAckMsg>(&decoded)) {
-      std::size_t from_index = node.peers.size();
-      for (std::size_t p = 0; p < node.peers.size(); ++p) {
-        if (node.peers[p]->node == frame->source) {
-          from_index = p;
-          break;
-        }
-      }
-      GENAS_CHECK(from_index < node.peers.size(),
-                  "link ack from a node that is not a peer");
+      const std::size_t from_index = node.peer_index(frame->source);
       Node::Peer& from = *node.peers[from_index];
       if (ack->sequence <= from.acked_out) return;  // stale/duplicate ack
       std::uint64_t pruned = 0;
@@ -989,15 +977,7 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
 void MeshNetwork::handle_link_payload(Node& node, NodeId source,
                                       const Bytes& raw,
                                       wire::Message& decoded) {
-  std::size_t from_index = node.peers.size();
-  for (std::size_t p = 0; p < node.peers.size(); ++p) {
-    if (node.peers[p]->node == source) {
-      from_index = p;
-      break;
-    }
-  }
-  GENAS_CHECK(from_index < node.peers.size(),
-              "frame from a node that is not a peer");
+  const std::size_t from_index = node.peer_index(source);
   Node::Peer* from = node.peers[from_index].get();
 
   if (auto* sub = std::get_if<wire::SubscribeMsg>(&decoded)) {
@@ -1066,7 +1046,7 @@ void MeshNetwork::route_events(Node& node) {
   // Forwarding decision per event and link (minus the arrival link). A
   // matching event is appended to the link's pending batch frame instead of
   // traveling alone: the batch flushes at link_batch_max or at the round
-  // boundary below, so a busy round pays one frame — and on reliable links
+  // boundary below, so a busy round pays one frame — and under a fault plan
   // one sequenced envelope and one ack — per link instead of one per event.
   // The event_messages counters keep counting events (the overlay's
   // currency), so the mesh-vs-overlay oracles see identical numbers.

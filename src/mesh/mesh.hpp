@@ -45,10 +45,16 @@
 //
 // Concurrency and liveness:
 //   * Backpressure applies at ingress: publish()/subscribe() block while
-//     the origin mailbox is full. Workers themselves never block on a full
-//     peer mailbox — an undeliverable frame is staged in a per-link outbox
-//     and retried while the worker keeps draining its own mailbox, so
-//     mutual forwarding between busy nodes cannot deadlock.
+//     the origin mailbox is full, and while the origin's staged outbox
+//     frames number mailbox_capacity or more. Workers themselves never
+//     block on a full peer mailbox — an undeliverable frame is staged in a
+//     per-link outbox and retried while the worker keeps draining its own
+//     mailbox, so mutual forwarding between busy nodes cannot deadlock,
+//     and a stalled peer parks producers instead of growing the outbox.
+//   * Links are lossless and in order in process. With a fault_plan, which
+//     is the only thing that drops, duplicates or delays frames, every
+//     link is sequenced and acked instead (go-back-N), so subscribers see
+//     the same traffic either way.
 //   * Every enqueued message (external or inter-node, including staged
 //     outbox frames) is tracked in one in-flight counter. wait_idle()
 //     blocks until the mesh is quiescent; after subscribe()+wait_idle()
@@ -113,21 +119,17 @@ struct MeshOptions {
   /// falls back to a uniform P_e, like FilterEngine.
   std::optional<JointDistribution> event_distribution;
   /// Mailbox capacity per node; full mailboxes block external producers.
+  /// It also caps a node's staged outbox frames (frames held back by a full
+  /// peer mailbox, summed across its links): while the staged total is at
+  /// the cap, ingress at that node blocks until the stalled peer drains.
   std::size_t mailbox_capacity = 1024;
   /// Events coalesced into one event-run frame per link per drain round:
   /// a link's pending run flushes when it reaches this many events or at
-  /// the round boundary, whichever comes first. On reliable links the whole
-  /// run rides one sequenced envelope (one seq/ack instead of one per
+  /// the round boundary, whichever comes first. Under a fault_plan the
+  /// whole run rides one sequenced envelope (one seq/ack instead of one per
   /// event). 1 sends every event as its own run of one — a kEvent frame,
   /// so one frame (and one seq/ack) per event.
   std::size_t link_batch_max = 256;
-  /// Cap on a node's staged outbox frames (frames held back by a full peer
-  /// mailbox), summed across its links. 0 = unbounded (the historical
-  /// behavior: a stalled peer lets the outbox deque grow without limit).
-  /// When the staged total is at the cap, ingress (publish/subscribe at
-  /// that node) blocks until the stalled peer drains — workers themselves
-  /// never block, so forwarding between busy nodes still cannot deadlock.
-  std::size_t outbox_capacity = 0;
   /// Watermark skew tolerance of every node's composite detector: mesh
   /// delivery is not globally ordered, so primitive firings reach a
   /// subscriber's detector with timestamp skew. An instant is evaluated
@@ -147,34 +149,25 @@ struct MeshOptions {
 
   // --- Fault tolerance ----------------------------------------------------
 
-  /// At-least-once inter-node links. Every inter-node frame travels in a
+  /// Deterministic fault injection, consulted once per inter-node frame
+  /// transmission (data, retransmissions, and acks alike). Setting a plan
+  /// makes every link at-least-once: each inter-node frame travels in a
   /// kLinkFrame envelope carrying a per-link monotone sequence number, is
   /// held in a bounded retransmit buffer until cumulatively acked, and is
-  /// sequence-checked at the receiver: duplicates and gap frames are
-  /// discarded (go-back-N), so each link delivers each frame exactly once
-  /// and in order even when a fault_plan drops, duplicates, or delays
-  /// traffic. wait_idle()/shutdown() then also wait for every link frame
-  /// to be acknowledged. Off by default: envelopes cost bytes and acks
-  /// cost messages, and the mesh-vs-overlay oracles assert exact frame
-  /// counts.
-  bool reliable_links = false;
-  /// Deterministic fault injection, consulted once per inter-node frame
-  /// transmission (data, retransmissions, and acks alike). With
-  /// reliable_links the injected faults are recovered; without, a dropped
-  /// frame is simply lost — measurable, but no longer oracle-exact. Plans
-  /// must be budget-bounded or quiescence (wait_idle) cannot be reached.
+  /// sequence-checked at the receiver, which discards duplicates and gap
+  /// frames (go-back-N). So each link still delivers each frame exactly
+  /// once and in order, and wait_idle()/shutdown() also wait for every
+  /// link frame to be acknowledged. Without a plan nothing can drop a
+  /// frame, so links send bare frames and no acks. Plans must be
+  /// budget-bounded or quiescence (wait_idle) cannot be reached; an empty
+  /// plan gives sequenced links with no faults.
   std::shared_ptr<net::FaultPlan> fault_plan;
-  /// Retransmit window: unacked link frames transmitted concurrently per
-  /// link. Frames beyond it stay buffered (unsent) until acks advance the
-  /// window.
+  /// Retransmit window of a fault-plan link: unacked link frames
+  /// transmitted concurrently per link. Frames beyond it stay buffered
+  /// (unsent) until acks advance the window.
   std::size_t link_window = 128;
   /// Idle interval after which a link retransmits its unacked window.
   std::chrono::microseconds link_retransmit_interval{2000};
-  /// Composite-ingress dedup window of every node's broker (see
-  /// Broker::set_composite_dedup_window): lets tokened ingress publishes —
-  /// e.g. replays from a reconnecting socket client — be dropped before
-  /// they restimulate composite detection. 0 (default) disables dedup.
-  std::size_t composite_dedup_window = 0;
 
   // --- Observability ------------------------------------------------------
 
@@ -202,7 +195,7 @@ struct LinkStats {
   NodeId peer = 0;
   std::uint64_t event_messages = 0;  ///< events forwarded to `peer`
   std::uint64_t routing_entries = 0; ///< profiles installed toward `peer`
-  // Reliable-link counters (zero when MeshOptions::reliable_links is off).
+  // Reliable-link counters (zero without MeshOptions::fault_plan).
   std::uint64_t retransmits = 0;     ///< envelopes re-sent toward `peer`
   std::uint64_t dup_frames = 0;      ///< received duplicates discarded
   std::uint64_t gap_frames = 0;      ///< received out-of-order discarded
@@ -283,9 +276,9 @@ class MeshNetwork {
   /// Broker::publish(event, dedup_token) at the ingress node: a transport
   /// that may replay the same publish (client reconnect) tags each event so
   /// the ingress node's composite runtime drops redelivered stimuli. The
-  /// token does not cross links — inter-node frames are exactly-once when
-  /// reliable_links is on — so composites detected at other nodes rely on
-  /// the transport not replaying across an exactly-once ingress.
+  /// token does not cross links — inter-node frames are exactly-once, with
+  /// or without a fault_plan — so composites detected at other nodes rely
+  /// on the transport not replaying across an exactly-once ingress.
   void publish(NodeId node, Event event, std::uint64_t dedup_token);
 
   /// Blocks until no message is in flight anywhere in the mesh.
@@ -343,7 +336,7 @@ class MeshNetwork {
   void handle_message(Node& node, NodeMsg& message);
   /// Handles one decoded inter-node subscription message (event runs take
   /// handle_message's arena path instead). `raw` is the unwrapped frame
-  /// (for byte-identical relaying); with reliable links it is the envelope's
+  /// (for byte-identical relaying); under a fault plan it is the envelope's
   /// inner frame.
   void handle_link_payload(
       Node& node, NodeId source,
@@ -357,12 +350,13 @@ class MeshNetwork {
   /// peers.size() to reach all peers).
   void broadcast_frame(Node& node, std::size_t skip_index,
                        std::shared_ptr<const std::vector<std::uint8_t>> bytes);
-  /// Link-layer send of one inner frame: with reliable_links it is wrapped
-  /// in a sequenced envelope and buffered for retransmission; either way
-  /// the transmission passes through the fault plan.
+  /// Link-layer send of one inner frame: under a fault plan it is wrapped
+  /// in a sequenced envelope, buffered for retransmission and passed
+  /// through the plan; otherwise it is sent bare.
   void send_link(Node& node, std::size_t peer_index,
                  const std::shared_ptr<const std::vector<std::uint8_t>>& inner);
-  /// One physical transmission attempt, after fault injection.
+  /// One physical transmission attempt of a sequenced link, through the
+  /// fault plan.
   void transmit(Node& node, std::size_t peer_index, NodeMsg message);
   /// Periodic link maintenance: releases delayed frames, retransmits
   /// expired unacked windows. Returns whether any link still has unacked,

@@ -23,6 +23,8 @@ using Frame = std::vector<std::uint8_t>;
 constexpr std::chrono::milliseconds kAcceptPoll{100};
 /// Resume-session registry bound; the oldest session falls out first.
 constexpr std::size_t kMaxSessions = 1024;
+/// Deliveries staged into one kDeliveryBatch frame before it goes out.
+constexpr std::size_t kDeliveryBatchMax = 64;
 
 /// Dedup token of one sequenced publish: a stable mix of session identity
 /// and sequence, so a replay of the same publish — across reconnects and
@@ -70,12 +72,12 @@ struct BrokerServer::Connection {
   std::uint64_t session_id = 0;
 
   /// Deliveries staged into the pending kDeliveryBatch frame; guarded by
-  /// write_mutex. The stage flushes when it reaches stage_max, before any
-  /// non-delivery frame (order preservation — kFlushDone and composite
-  /// firings never overtake the deliveries staged ahead of them), and at
-  /// the end of every publish via the served broker's drain hook.
+  /// write_mutex. The stage flushes when it reaches kDeliveryBatchMax,
+  /// before any non-delivery frame (order preservation — kFlushDone and
+  /// composite firings never overtake the deliveries staged ahead of
+  /// them), and at the end of every publish via the served broker's drain
+  /// hook.
   wire::DeliveryBatchBuilder delivery_stage;
-  std::size_t stage_max = 1;
   /// Drain hook this connection registered on the served broker (0: none).
   DrainHookId drain_hook = 0;
 
@@ -101,7 +103,7 @@ struct BrokerServer::Connection {
       channel.shutdown();
       return false;
     }
-    if (delivery_stage.pending() < stage_max) return true;
+    if (delivery_stage.pending() < kDeliveryBatchMax) return true;
     return flush_locked();
   }
 
@@ -368,18 +370,14 @@ void BrokerServer::run_accept_loop() {
       auto connection = std::make_shared<Connection>(std::move(*channel));
       connection->frames_written = impl_->frames_written;
       connection->bytes_written = impl_->bytes_written;
-      connection->stage_max =
-          std::max<std::size_t>(impl_->options.delivery_batch_max, 1);
-      if (connection->stage_max > 1) {
-        // The served broker's drain hook closes every publish by flushing
-        // this connection's staged deliveries, so a batch never outlives
-        // the publish that filled it. (Cap 1 flushes inline — no hook.)
-        Broker& broker = impl_->broker != nullptr
-                             ? *impl_->broker
-                             : impl_->mesh->node_broker(impl_->node);
-        connection->drain_hook = broker.add_drain_hook(
-            [connection] { connection->flush_deliveries(); });
-      }
+      // The served broker's drain hook closes every publish by flushing
+      // this connection's staged deliveries, so a batch never outlives the
+      // publish that filled it.
+      Broker& broker = impl_->broker != nullptr
+                           ? *impl_->broker
+                           : impl_->mesh->node_broker(impl_->node);
+      connection->drain_hook = broker.add_drain_hook(
+          [connection] { connection->flush_deliveries(); });
       impl_->connections.push_back(connection);
       impl_->connections_total.add(1);
       connection->thread =

@@ -6,7 +6,11 @@
 // client participates in distributed routing exactly like a local
 // subscriber at that node). Deliveries stream back to the owning client as
 // delivery runs (kDelivery for a run of one, kDeliveryBatch otherwise),
-// composite firings as kCompositeFiring frames.
+// composite firings as kCompositeFiring frames. A connection stages its
+// deliveries and writes them as one run when 64 are staged, at the end of
+// every publish (broker drain hook), and before any non-delivery frame, so
+// batching never delays a notification past the publish that produced it
+// or reorders it against a flush barrier.
 //
 // Protocol (one TCP connection per client, frames from src/wire):
 //   server -> client   kSchema            handshake: the service schema;
@@ -91,13 +95,6 @@ struct ServerOptions {
   /// are expected to keep traffic (or flush heartbeats) flowing: an idle
   /// but healthy subscriber trips it too. Negative (default) never evicts.
   std::chrono::milliseconds client_idle_timeout{-1};
-  /// Deliveries staged into one kDeliveryBatch frame before it goes out.
-  /// The stage also flushes at the end of every publish (broker drain
-  /// hook) and before any non-delivery frame, so batching never delays a
-  /// notification past the publish that produced it or reorders it against
-  /// a flush barrier. 1 = every delivery goes out as its own run of one
-  /// (a kDelivery frame).
-  std::size_t delivery_batch_max = 64;
 };
 
 class BrokerServer {

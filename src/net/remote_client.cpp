@@ -74,7 +74,7 @@ RemoteBrokerClient::RemoteBrokerClient(const std::string& host,
   // Handshake: the first frame must be the service schema; everything the
   // client encodes or decodes afterwards validates against it.
   schema_ = read_schema_handshake(channel_, options_.timeouts.read);
-  if (options_.reconnect) {
+  if (reconnecting()) {
     session_id_ = options_.session_id != 0 ? options_.session_id
                                            : random_session_id();
     const wire::HelloAckMsg ack = hello_handshake(
@@ -126,7 +126,7 @@ std::string RemoteBrokerClient::last_error() const {
 
 void RemoteBrokerClient::send_frame(const Frame& frame) {
   GENAS_REQUIRE(!failed_.load() && !closing_.load() &&
-                    (connected_.load() || options_.reconnect),
+                    (connected_.load() || reconnecting()),
                 ErrorCode::kState,
                 "remote broker: connection is down" +
                     (last_error().empty() ? "" : " (" + last_error() + ")"));
@@ -137,7 +137,7 @@ void RemoteBrokerClient::send_frame(const Frame& frame) {
   try {
     channel_.write_frame(frame);
   } catch (const std::exception& e) {
-    if (options_.reconnect) {
+    if (reconnecting()) {
       // The reader notices the dead stream and redials; state registered
       // before this send is in the mirror and will be re-sent.
       connected_.store(false);
@@ -152,7 +152,7 @@ void RemoteBrokerClient::send_frame(const Frame& frame) {
 void RemoteBrokerClient::send_subscription(SubscriptionId key, Frame frame,
                                            bool composite) {
   GENAS_REQUIRE(!failed_.load() && !closing_.load() &&
-                    (connected_.load() || options_.reconnect),
+                    (connected_.load() || reconnecting()),
                 ErrorCode::kState,
                 "remote broker: connection is down" +
                     (last_error().empty() ? "" : " (" + last_error() + ")"));
@@ -163,14 +163,14 @@ void RemoteBrokerClient::send_subscription(SubscriptionId key, Frame frame,
   // Mirror first, under the same hold: a reconnect (which also owns
   // write_mutex_) either sees this key in the mirror after its frame went
   // out, or not at all — never a half-registered subscription.
-  if (options_.reconnect) {
+  if (reconnecting()) {
     auto& mirror = composite ? csub_frames_ : sub_frames_;
     mirror.emplace(key, frame);
   }
   try {
     channel_.write_frame(frame);
   } catch (const std::exception& e) {
-    if (options_.reconnect) {
+    if (reconnecting()) {
       connected_.store(false);
       channel_.shutdown();  // the mirror entry replays on reconnect
       return;
@@ -270,7 +270,7 @@ void RemoteBrokerClient::unsubscribe_composite(SubscriptionId id) {
 void RemoteBrokerClient::publish(const Event& event) {
   GENAS_REQUIRE(event.schema() == schema_, ErrorCode::kInvalidArgument,
                 "remote broker: event schema differs from service schema");
-  if (!options_.reconnect) {
+  if (!reconnecting()) {
     send_frame(wire::frame_event_batch({&event, 1}));
     return;
   }
@@ -368,7 +368,7 @@ void RemoteBrokerClient::run_reader() {
     }
     if (closing_.load()) return;
     connected_.store(false);
-    if (!options_.reconnect) {
+    if (!reconnecting()) {
       fail(why);
       return;
     }

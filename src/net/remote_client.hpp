@@ -18,12 +18,13 @@
 // (the retraction is in flight to the server), mirroring the local
 // broker's snapshot semantics.
 //
-// Failure model without reconnect (the default): when the connection drops
-// — server gone, stream corrupt, write timeout — the client transitions to
-// disconnected: pending and future flush() calls throw Error{kState},
-// sends throw, callbacks stop. last_error() keeps the reason.
+// Failure model without redials (ClientOptions::max_redials = 0, the
+// default): when the connection drops — server gone, stream corrupt, write
+// timeout — the client transitions to disconnected: pending and future
+// flush() calls throw Error{kState}, sends throw, callbacks stop.
+// last_error() keeps the reason.
 //
-// Reconnect mode (ClientOptions::reconnect): the client holds a session.
+// Reconnect mode (max_redials > 0): the client holds a session.
 // On connect it sends a kHello carrying a random nonzero session id; the
 // server acknowledges with kHelloAck{resumed, id, publish watermark}.
 // Publishes travel in kLinkFrame envelopes carrying a per-session monotone
@@ -62,10 +63,11 @@ namespace genas::net {
 
 struct ClientOptions {
   SocketTimeouts timeouts{};
-  /// Survive connection loss: redial, resubscribe, replay (see above).
-  bool reconnect = false;
-  /// Redial attempts per disconnect episode before giving up.
-  std::size_t max_redials = 8;
+  /// Redial attempts per disconnect episode before giving up. Any nonzero
+  /// value is reconnect mode: the client survives connection loss by
+  /// redialing, resubscribing and replaying (see above). 0 (default): a
+  /// lost connection ends the client.
+  std::size_t max_redials = 0;
   /// First redial backoff; doubles per attempt up to redial_backoff_cap.
   std::chrono::milliseconds redial_backoff{10};
   std::chrono::milliseconds redial_backoff_cap{1000};
@@ -83,7 +85,7 @@ class RemoteBrokerClient {
   /// timeouts.connect + timeouts.read).
   RemoteBrokerClient(const std::string& host, std::uint16_t port,
                      SocketTimeouts timeouts = {});
-  /// Connects with full options (reconnect mode lives here).
+  /// Connects with full options (reconnect mode is max_redials > 0).
   RemoteBrokerClient(const std::string& host, std::uint16_t port,
                      ClientOptions options);
   ~RemoteBrokerClient();
@@ -160,6 +162,8 @@ class RemoteBrokerClient {
   void run_reader();
   /// Drains the stream; returns on end-of-stream, throws on errors.
   void read_loop();
+  /// Whether the client holds a session and redials (max_redials > 0).
+  bool reconnecting() const noexcept { return options_.max_redials > 0; }
   /// Redials, re-handshakes, resubscribes, and replays. Holds write_mutex_
   /// for the whole episode so API writes queue behind the recovery.
   bool reconnect_session();

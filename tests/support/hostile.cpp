@@ -1,4 +1,4 @@
-#include "sim/hostile.hpp"
+#include "support/hostile.hpp"
 
 #include <algorithm>
 #include <iterator>
@@ -64,7 +64,6 @@ HostileMeshRun run_hostile_mesh(const HostileMeshConfig& config) {
 
   mesh::MeshOptions options;
   options.mode = config.mode;
-  options.reliable_links = config.reliable_links;
   options.fault_plan = config.fault_plan;
   options.link_window = config.link_window;
   options.link_retransmit_interval = config.retransmit_interval;

@@ -1,5 +1,5 @@
-// GENAS — hostile-scenario harness: deterministic fault drills with an
-// exactness oracle.
+// GENAS test support — hostile-scenario harness: deterministic fault
+// drills with an exactness oracle.
 //
 // run_hostile_mesh builds one canonical workload — a chain of broker nodes
 // with overlapping plain subscriptions and composite expressions spread
@@ -8,8 +8,8 @@
 // returned as sorted multisets (delivery records, composite firings), so a
 // test can run the same seed twice — once pristine, once with drops,
 // duplicates, delays, or mid-stream subscription churn — and assert the
-// multisets are identical: with reliable links, injected faults must be
-// invisible to subscribers.
+// multisets are identical: a fault plan makes every link at-least-once,
+// so injected faults must be invisible to subscribers.
 //
 // The harness is deliberately deterministic end to end: the workload
 // derives from the seed alone, churn points are barriered with wait_idle()
@@ -37,12 +37,10 @@ struct HostileMeshConfig {
   std::size_t nodes = 4;
   std::size_t events = 160;
   mesh::RoutingMode mode = mesh::RoutingMode::kRoutingCovered;
-  /// At-least-once links (required for the exactness oracle under faults).
-  bool reliable_links = true;
   std::size_t link_window = 16;
   /// Aggressive by default so dropped frames recover within test budgets.
   std::chrono::microseconds retransmit_interval{500};
-  /// Faults injected per transmission; null runs pristine.
+  /// Faults injected per transmission; null runs pristine (bare links).
   std::shared_ptr<net::FaultPlan> fault_plan;
   /// Mid-stream churn: after the first half of the stream (barriered),
   /// every other plain subscription is withdrawn and re-registered, so

@@ -449,7 +449,6 @@ TEST_F(IngressTest, AdvanceToBoundsBufferedMemoryOnSparseStreams) {
 
 TEST_F(IngressTest, RedeliveredTokensAreDroppedWithinTheWindow) {
   add(seq(primitive(1), primitive(2), 10));
-  ingress_.set_dedup_window(8);
 
   EXPECT_TRUE(ingress_.push(1, 5, 101));
   EXPECT_FALSE(ingress_.push(1, 5, 101));  // redelivery: dropped
@@ -464,7 +463,6 @@ TEST_F(IngressTest, RedeliveredTokensAreDroppedWithinTheWindow) {
 
 TEST_F(IngressTest, TokenZeroIsNeverDeduped) {
   add(disj(primitive(1), primitive(2)));
-  ingress_.set_dedup_window(8);
   EXPECT_TRUE(ingress_.push(1, 1, 0));
   EXPECT_TRUE(ingress_.push(1, 2, 0));  // untracked: both accepted
   ingress_.flush();
@@ -472,20 +470,10 @@ TEST_F(IngressTest, TokenZeroIsNeverDeduped) {
   EXPECT_EQ(ingress_.dropped_duplicates(), 0u);
 }
 
-TEST_F(IngressTest, DedupDisabledWindowAcceptsRedeliveries) {
-  add(disj(primitive(1), primitive(2)));
-  // Default window 0: tokens are ignored entirely.
-  EXPECT_TRUE(ingress_.push(1, 1, 55));
-  EXPECT_TRUE(ingress_.push(1, 2, 55));
-  ingress_.flush();
-  EXPECT_EQ(fired_.size(), 2u);
-}
-
 TEST_F(IngressTest, SameTokenDifferentProfilesAreDistinctStimuli) {
   // One redelivered event can legitimately stimulate several decomposed
   // leaves; dedup keys on (token, profile), not token alone.
   add(conj(primitive(1), primitive(2), 10));
-  ingress_.set_dedup_window(8);
   EXPECT_TRUE(ingress_.push(1, 5, 77));
   EXPECT_TRUE(ingress_.push(2, 5, 77));   // same token, other leaf: kept
   EXPECT_FALSE(ingress_.push(1, 5, 77));  // true redelivery: dropped
@@ -496,17 +484,17 @@ TEST_F(IngressTest, SameTokenDifferentProfilesAreDistinctStimuli) {
 
 TEST_F(IngressTest, WindowEvictsOldestTokenFirst) {
   add(disj(primitive(1), primitive(2)));
-  ingress_.set_dedup_window(3);
 
-  EXPECT_TRUE(ingress_.push(1, 1, 201));
-  EXPECT_TRUE(ingress_.push(1, 2, 202));
-  EXPECT_TRUE(ingress_.push(1, 3, 203));
-  EXPECT_TRUE(ingress_.push(1, 4, 204));  // evicts 201
+  // Tokens 1..kCompositeDedupWindow fill the window; one more evicts 1.
+  constexpr std::uint64_t kNewest = kCompositeDedupWindow + 1;
+  for (std::uint64_t token = 1; token <= kNewest; ++token) {
+    EXPECT_TRUE(ingress_.push(1, static_cast<Timestamp>(token), token));
+  }
 
   // A redelivery older than the window slips through (the documented
   // memory/exactness trade); fresher ones are still caught.
-  EXPECT_TRUE(ingress_.push(1, 1, 201));
-  EXPECT_FALSE(ingress_.push(1, 4, 204));
+  EXPECT_TRUE(ingress_.push(1, 1, 1));
+  EXPECT_FALSE(ingress_.push(1, static_cast<Timestamp>(kNewest), kNewest));
   EXPECT_EQ(ingress_.dropped_duplicates(), 1u);
 }
 

@@ -341,9 +341,8 @@ TEST_F(CompositeBrokerTest, NotificationTimestampDrivesDetectionNotArrival) {
 
 TEST_F(CompositeBrokerTest, TokenedRedeliveryNeverDoubleFires) {
   // At-least-once transports may hand the broker the same event twice.
-  // With a dedup window armed, a tokened redelivery is invisible to
-  // composite detection: the conj fires exactly once.
-  broker_.set_composite_dedup_window(32);
+  // The default broker's dedup window makes a tokened redelivery invisible
+  // to composite detection: the conj fires exactly once.
   broker_.subscribe_composite(
       conj(primitive(parse_profile(schema_, "temperature >= 35")),
            primitive(parse_profile(schema_, "humidity >= 90")), 10),
@@ -359,9 +358,8 @@ TEST_F(CompositeBrokerTest, TokenedRedeliveryNeverDoubleFires) {
 }
 
 TEST_F(CompositeBrokerTest, UntokenedPublishesBypassTheDedupWindow) {
-  // Token 0 (and the plain publish overload) stay untracked even with a
-  // window armed — local publishers are exactly-once by construction.
-  broker_.set_composite_dedup_window(32);
+  // Token 0 (and the plain publish overload) stay untracked by the dedup
+  // window — local publishers are exactly-once by construction.
   broker_.subscribe_composite(
       conj(primitive(parse_profile(schema_, "temperature >= 35")),
            primitive(parse_profile(schema_, "humidity >= 90")), 10),
@@ -389,7 +387,6 @@ TEST_F(CompositeBrokerTest, UntokenedPublishesBypassTheDedupWindow) {
 TEST_F(CompositeBrokerTest, DedupDoesNotSuppressPlainDeliveries) {
   // The window guards composite state only; plain subscribers see every
   // publish (at-least-once duplicates surface as counted deliveries).
-  broker_.set_composite_dedup_window(32);
   int delivered = 0;
   broker_.subscribe(parse_profile(schema_, "temperature >= 35"),
                     [&](const Notification&) { ++delivered; });
@@ -402,7 +399,6 @@ TEST_F(CompositeBrokerTest, DedupDoesNotSuppressPlainDeliveries) {
 }
 
 TEST_F(CompositeBrokerTest, BatchPublishThreadsPerEventTokens) {
-  broker_.set_composite_dedup_window(32);
   broker_.subscribe_composite(
       seq(primitive(parse_profile(schema_, "temperature >= 35")),
           primitive(parse_profile(schema_, "humidity >= 90")), 10),

@@ -102,6 +102,25 @@ TEST(ConfigIo, ParseFailuresCarryLineNumbers) {
   expect_fail("attr x int 0 9\nprofile weight=0 x >= 1\n", "line 2");
 }
 
+TEST(ConfigIo, IntegerBoundsMustBeWholeInt64Values) {
+  // A fraction is not truncated ([0.5, 9.7] is not [0, 9]) and an
+  // out-of-range bound is not cast: both fail at their config line.
+  for (const std::string text : {"# bounds\nattr x int 0.5 9.7\n",
+                                 "# bounds\nattr x int -1e30 1e30\n"}) {
+    try {
+      config_from_string(text);
+      FAIL() << "expected parse failure for: " << text;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParse);
+      EXPECT_NE(std::string(e.what()).find("config line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  const ServiceConfig config = config_from_string("attr x int -5 9\n");
+  EXPECT_EQ(config.schema->attribute(0).domain.numeric_lo(), -5.0);
+  EXPECT_EQ(config.schema->attribute(0).domain.numeric_hi(), 9.0);
+}
+
 TEST(ConfigIo, CategoryNamesWithCommasAndEdgeWhitespaceRoundTrip) {
   // Regression: commas used to split the category payload blindly, and
   // leading/trailing whitespace was eaten by line trimming — both silently

@@ -1,8 +1,6 @@
 // Tests for batched delivery streaming (kDeliveryBatch): the BrokerServer
 // stages per-notification writes and flushes one frame per publish drain,
-// the RemoteBrokerClient dispatches batch frames per subscription, and
-// delivery_batch_max = 1 reproduces the legacy one-frame-per-delivery
-// traffic.
+// and the RemoteBrokerClient dispatches batch frames per subscription.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -73,35 +71,6 @@ TEST(DeliveryBatching, OnePublishDrainYieldsOneFrame) {
     const std::scoped_lock lock(mutex);
     EXPECT_EQ(seen.size(), kSubs);
   }
-
-  client.close();
-  server.stop();
-  EXPECT_EQ(server.first_error(), "");
-}
-
-TEST(DeliveryBatching, CapOfOneKeepsLegacyPerDeliveryFrames) {
-  const SchemaPtr schema = testutil::example1_schema();
-  Broker broker(schema);
-  ServerOptions options;
-  options.delivery_batch_max = 1;
-  BrokerServer server(broker, options);
-  server.start();
-
-  RemoteBrokerClient client("127.0.0.1", server.port());
-  constexpr std::size_t kSubs = 7;
-  for (std::size_t s = 0; s < kSubs; ++s) {
-    client.subscribe("temperature >= " + std::to_string(10 + s),
-                     [](const Notification&) {});
-  }
-  client.flush();
-
-  const std::int64_t before = frames_written(server);
-  broker.publish(Event::from_pairs(
-      schema, {{"temperature", 40}, {"humidity", 50}, {"radiation", 3}}));
-  ASSERT_TRUE(eventually([&] { return client.deliveries() == kSubs; }));
-  const std::int64_t after = frames_written(server);
-
-  EXPECT_EQ(after - before, static_cast<std::int64_t>(kSubs));
 
   client.close();
   server.stop();

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -36,7 +37,7 @@
 #include "net/fault.hpp"
 #include "net/remote_client.hpp"
 #include "profile/parser.hpp"
-#include "sim/hostile.hpp"
+#include "support/hostile.hpp"
 
 namespace genas {
 namespace {
@@ -285,7 +286,6 @@ DrillRun run_drill(bool crash, std::size_t cuts, bool quiet_gap,
   journal.sync();
 
   auto broker = std::make_unique<Broker>(schema);
-  broker->set_composite_dedup_window(64);
   broker->subscribe(local_profile, record_delivery("ld"));
   broker->subscribe_composite(local_composite, record_firing("lc"));
 
@@ -295,7 +295,6 @@ DrillRun run_drill(bool crash, std::size_t cuts, bool quiet_gap,
   const std::uint16_t port = server->port();
 
   net::ClientOptions client_options;
-  client_options.reconnect = true;
   client_options.max_redials = 100;
   client_options.redial_backoff = 5ms;
   client_options.redial_backoff_cap = 50ms;
@@ -370,7 +369,6 @@ DrillRun run_drill(bool crash, std::size_t cuts, bool quiet_gap,
       EXPECT_EQ(stats.bytes_dropped, 0u);
 
       broker = std::make_unique<Broker>(state.schema);
-      broker->set_composite_dedup_window(64);
       replay_journal(
           state, *broker,
           [&](std::uint64_t) { return record_delivery("ld"); },
@@ -432,6 +430,80 @@ TEST_F(Hostile, CrashRestartMidStreamRecoversExactly) {
   EXPECT_EQ(crashed.duplicates, 0u);
   EXPECT_EQ(reference.reconnects, 0u);
   EXPECT_EQ(reference.replayed, 0u);
+}
+
+TEST_F(Hostile, ServerRestartOverADefaultBrokerKeepsCompositesExact) {
+  // A default Broker outlives its BrokerServer, which is destroyed and
+  // recreated on the same port. The new server does not know the client's
+  // session, so the reconnecting client replays its whole publish window
+  // (at-least-once). Each replay carries the same dedup token as the
+  // original, and the broker's composite ingress must drop it: the
+  // broker-local composite fires exactly as often as in the plain stream.
+  const SchemaPtr schema = sim::hostile_schema();
+  const std::string expression = "conj({kind <= 10}, {kind >= 90}, w=1)";
+  // Five (kind 5, kind 95) pairs one tick apart, ten ticks between pairs:
+  // the conj completes once per pair.
+  std::vector<Event> stream;
+  for (std::int64_t pair = 0; pair < 5; ++pair) {
+    for (std::int64_t k = 0; k < 2; ++k) {
+      stream.push_back(Event::from_pairs(
+          schema, {{"kind", k == 0 ? 5 : 95}, {"id", 2 * pair + k}},
+          static_cast<Timestamp>(10 * pair + k + 1)));
+    }
+  }
+
+  std::atomic<std::size_t> reference{0};
+  {
+    Broker local(schema);
+    local.subscribe_composite(expression, [&](const CompositeFiring&) {
+      reference.fetch_add(1);
+    });
+    for (const Event& event : stream) local.publish(event);
+    local.flush_composites();
+  }
+  ASSERT_EQ(reference.load(), 5u);
+
+  Broker broker(schema);
+  std::atomic<std::size_t> fired{0};
+  broker.subscribe_composite(expression,
+                             [&](const CompositeFiring&) { fired.fetch_add(1); });
+  auto server = std::make_unique<net::BrokerServer>(broker);
+  server->start();
+  net::ServerOptions server_options;
+  server_options.port = server->port();
+
+  net::ClientOptions client_options;
+  client_options.max_redials = 100;
+  client_options.redial_backoff = 5ms;
+  client_options.redial_backoff_cap = 50ms;
+  net::RemoteBrokerClient client("127.0.0.1", server_options.port,
+                                 client_options);
+  for (const Event& event : stream) {
+    client.publish(Event::from_pairs(
+        client.schema(),
+        {{"kind", event.value("kind").as_int()},
+         {"id", event.value("id").as_int()}},
+        event.time()));
+  }
+  client.flush();
+  EXPECT_EQ(fired.load(), reference.load());
+
+  server.reset();
+  server = std::make_unique<net::BrokerServer>(broker, server_options);
+  server->start();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         (client.reconnects() < 1 || !client.connected())) {
+    std::this_thread::sleep_for(2ms);
+  }
+  client.flush();
+
+  EXPECT_EQ(client.reconnects(), 1u);
+  EXPECT_EQ(client.replayed_publishes(), stream.size());
+  EXPECT_EQ(fired.load(), reference.load());
+  EXPECT_GT(broker.composite_duplicates_dropped(), 0u);
+  client.close();
+  server.reset();
 }
 
 TEST_F(Hostile, LinkCutsResumeExactlyOnce) {

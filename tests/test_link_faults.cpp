@@ -1,6 +1,8 @@
 // Reliable mesh link tests: per-link sequencing, retransmission after
 // drops, receiver-side duplicate/gap discard, quiescence with unacked
-// frames in flight, and the FaultPlan's deterministic rule engine.
+// frames in flight, and the FaultPlan's deterministic rule engine. A mesh
+// sequences and acks its links exactly when it has a fault plan; the
+// healthy-mesh cases use an empty plan.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,9 +28,9 @@ using net::FaultPlan;
 using net::kAnyLink;
 using namespace std::chrono_literals;
 
-MeshOptions reliable_options(std::shared_ptr<FaultPlan> plan = nullptr) {
+MeshOptions reliable_options(
+    std::shared_ptr<FaultPlan> plan = std::make_shared<FaultPlan>()) {
   MeshOptions options;
-  options.reliable_links = true;
   options.fault_plan = std::move(plan);
   options.link_retransmit_interval = 500us;
   // One event per frame: the fault plans here meter drops/dups/reorders in

@@ -1,7 +1,8 @@
 // Tests for batched link frames in the mesh runtime: publish_batch
 // ingress, per-link coalescing metrics, outbox backpressure under a
-// stalled peer, exact-cap legacy mode, and batched frames riding reliable
-// links under injected faults.
+// stalled peer (bounded by the mailbox capacity with default options),
+// exact-cap legacy mode, and batched frames riding the sequenced links a
+// fault plan switches on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,9 +73,7 @@ TEST(MeshBatching, PublishBatchCarriesDedupTokens) {
   // tokens flow through the mesh ingress into the node broker's dedup
   // window exactly like publish(node, event, token) singles.
   const SchemaPtr schema = testutil::example1_schema();
-  MeshOptions options;
-  options.composite_dedup_window = 64;
-  MeshNetwork mesh(schema, options);
+  MeshNetwork mesh(schema, MeshOptions{});
   mesh.add_node();
   mesh.start();
 
@@ -170,13 +169,16 @@ TEST(MeshBatching, CapOfOneKeepsLegacyPerEventFrames) {
 }
 
 TEST(MeshBatching, StalledPeerStormIsBoundedByTheOutboxCap) {
-  // Regression for the unbounded staging deque: a subscriber that stops
-  // consuming must park publishers at the ingress cap instead of letting
-  // the publisher-side outbox grow with the whole storm.
+  // Regression for the unbounded staging deque: with default options apart
+  // from a small mailbox, a subscriber that stops consuming must park
+  // publishers at the ingress cap instead of letting the publisher-side
+  // outbox grow with the whole storm. The storm is sized so that an
+  // unbounded outbox would stage far more than the bound below: each drain
+  // round takes at most mailbox_capacity single publishes, and stages one
+  // frame.
   const SchemaPtr schema = testutil::example1_schema();
   MeshOptions options;
   options.mailbox_capacity = 8;
-  options.outbox_capacity = 16;
   MeshNetwork mesh(schema, options);
   mesh.add_node();
   mesh.add_node();
@@ -195,7 +197,7 @@ TEST(MeshBatching, StalledPeerStormIsBoundedByTheOutboxCap) {
                  });
   mesh.wait_idle();
 
-  constexpr std::size_t kEvents = 400;
+  constexpr std::size_t kEvents = 4000;
   std::thread publisher([&] {
     for (std::size_t i = 0; i < kEvents; ++i) {
       mesh.publish(0, make_event(schema, 40, static_cast<Timestamp>(i + 1)));
@@ -215,7 +217,8 @@ TEST(MeshBatching, StalledPeerStormIsBoundedByTheOutboxCap) {
   EXPECT_EQ(mesh.first_error(), "");
 
   // The staged outbox never grew past the cap plus the traffic that was
-  // already admitted into the round being drained when the stall began.
+  // already admitted (a full mailbox, and a drain round's worth) when the
+  // stall began.
   const obs::StatsSnapshot snapshot = mesh.stats_snapshot();
   std::int64_t outbox_hwm = 0;
   for (const obs::MetricSnapshot& metric : snapshot.metrics) {
@@ -223,8 +226,8 @@ TEST(MeshBatching, StalledPeerStormIsBoundedByTheOutboxCap) {
       outbox_hwm = std::max(outbox_hwm, metric.value);
     }
   }
-  const std::int64_t bound = static_cast<std::int64_t>(
-      options.outbox_capacity + options.mailbox_capacity + 256);
+  const std::int64_t bound =
+      static_cast<std::int64_t>(2 * options.mailbox_capacity + 256);
   EXPECT_LE(outbox_hwm, bound)
       << "outbox high-water mark " << outbox_hwm << " exceeds " << bound;
   EXPECT_GT(outbox_hwm, 0);
@@ -235,7 +238,6 @@ TEST(MeshBatching, ShutdownUnblocksPublishersParkedAtTheCap) {
   const SchemaPtr schema = testutil::example1_schema();
   MeshOptions options;
   options.mailbox_capacity = 4;
-  options.outbox_capacity = 4;
   MeshNetwork mesh(schema, options);
   mesh.add_node();
   mesh.add_node();
@@ -281,16 +283,15 @@ TEST(MeshBatching, ShutdownUnblocksPublishersParkedAtTheCap) {
 }
 
 TEST(MeshBatching, BatchedFramesRideReliableLinksUnderFaults) {
-  // Loss and duplication hit whole batch frames now; go-back-N must still
-  // deliver every event exactly once, in order, with batching left at its
-  // default cap.
+  // Loss and duplication hit whole batch frames now; the go-back-N links the
+  // plan switches on must still deliver every event exactly once, in
+  // order, with batching left at its default cap.
   const SchemaPtr schema = testutil::example1_schema();
   auto plan = std::make_shared<FaultPlan>(77);
   plan->drop_chance(0, 1, 0.4, 30);
   plan->duplicate_chance(0, 1, 0.4, 30);
 
   MeshOptions options;
-  options.reliable_links = true;
   options.fault_plan = plan;
   options.link_retransmit_interval = std::chrono::microseconds(500);
   MeshNetwork mesh(schema, options);
