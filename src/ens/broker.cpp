@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "profile/profile.hpp"
@@ -14,8 +16,9 @@ namespace genas {
 namespace {
 
 /// One pending delivery collected during matching and drained afterwards.
-/// The callback pointer aims into the snapshot's route table (kept alive by
-/// the shared_ptr held across the publish call).
+/// The callback pointer aims into the borrowed snapshot's route table (kept
+/// alive by its thread-local slot or, once displaced, by the retire list of
+/// PublishScope until the outermost publish returns).
 struct Delivery {
   const NotificationCallback* callback = nullptr;
   SubscriptionId subscription = 0;
@@ -62,9 +65,34 @@ class TokenGuard {
   std::uint64_t saved_;
 };
 
-}  // namespace
+/// Publish nesting on this thread. A publish borrows its snapshot from the
+/// thread-local cache slot without taking a reference, so a callback's
+/// re-entrant publish — on the same broker after a mutation, or on another
+/// broker whose slot evicts this one's — must not drop a handle an outer
+/// drain still reads. While any publish is draining (depth > 0), a slot
+/// refresh moves the displaced handle onto `retired`; the outermost publish
+/// releases them when it returns, normally or by exception.
+struct PublishNesting {
+  std::uint32_t depth = 0;
+  std::vector<std::shared_ptr<const void>> retired;
+};
+thread_local PublishNesting publish_nesting;
 
-namespace {
+class PublishScope {
+ public:
+  PublishScope() noexcept { ++publish_nesting.depth; }
+  ~PublishScope() {
+    if (--publish_nesting.depth != 0 || publish_nesting.retired.empty()) {
+      return;
+    }
+    // Swapped out before release: dropping a snapshot destroys callback
+    // objects, whose destructors must not see a half-cleared list.
+    std::vector<std::shared_ptr<const void>> retired;
+    retired.swap(publish_nesting.retired);
+  }
+  PublishScope(const PublishScope&) = delete;
+  PublishScope& operator=(const PublishScope&) = delete;
+};
 
 std::uint64_t next_broker_id() {
   static std::atomic<std::uint64_t> counter{1};
@@ -441,11 +469,10 @@ void Broker::dispatch_composite_firings(std::unique_lock<std::mutex>& lock) {
   for (const auto& [callback, firing] : out) (*callback)(firing);
 }
 
-std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
-    bool* rebuilt) {
+const Broker::Snapshot* Broker::acquire_snapshot(bool* rebuilt) {
   // Per-thread snapshot handles. Only this thread ever touches its slots,
   // so the fast path below performs no shared-state access beyond the
-  // version load and the refcount bump of the returned copy. The array is
+  // version load; the caller borrows the slot's snapshot. The array is
   // fully associative (linear scan of 8 entries): up to 8 live brokers per
   // thread cache without evicting each other; beyond that, colliding
   // brokers fall back to the mutex slow path on each publish. A slot of a
@@ -470,7 +497,7 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
   const std::uint64_t version = version_.load(std::memory_order_acquire);
   if (slot->broker == broker_id_ && slot->snapshot != nullptr &&
       slot->snapshot->version == version) {
-    return slot->snapshot;
+    return slot->snapshot.get();
   }
 
   // Slow path: refresh the cache — and rebuild the snapshot if a mutation
@@ -501,9 +528,14 @@ std::shared_ptr<const Broker::Snapshot> Broker::acquire_snapshot(
     snapshot_rebuilds_.add(1);
     rebuild_pause_.observe(obs::now_ns() - pause_start);
   }
+  // Inside a drain, the displaced handle may be the one an outer publish
+  // borrowed (this broker's older snapshot, or an evicted broker's).
+  if (publish_nesting.depth > 0 && slot->snapshot != nullptr) {
+    publish_nesting.retired.push_back(std::move(slot->snapshot));
+  }
   slot->broker = broker_id_;
   slot->snapshot = snapshot_;
-  return slot->snapshot;
+  return slot->snapshot.get();
 }
 
 bool Broker::observe(std::span<const Event> events) {
@@ -564,11 +596,12 @@ BatchPublishResult Broker::publish_batch_impl(
   const bool traced = trace_.sample(trace_countdown);
   const std::uint64_t trace_start = traced ? obs::now_ns() : 0;
 
-  // Held at function scope: the drain below dereferences raw pointers into
-  // the snapshot's route table, and a re-entrant publish from a callback
-  // would otherwise replace the only other owner (the thread-local cache).
-  const std::shared_ptr<const Snapshot> snapshot =
-      acquire_snapshot(&result.rebuilt);
+  // Borrowed, not copied: the drain below dereferences the snapshot and raw
+  // pointers into its route table, and a callback may re-enter and refresh
+  // the slot that owns it. The scope keeps any handle displaced meanwhile
+  // alive until the outermost publish on this thread returns.
+  const Snapshot* const snapshot = acquire_snapshot(&result.rebuilt);
+  const PublishScope scope;
   std::vector<Delivery> deliveries = take_delivery_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlatMatch match = snapshot->tree->match(events[i]);

@@ -8,12 +8,15 @@
 //   * publish()/publish_batch() are lock-free on the hot path: each thread
 //     caches a shared_ptr to the current immutable Snapshot (flat profile
 //     tree + profile→callback route table) in thread-local storage and
-//     revalidates it with a single atomic version load per publish — no
-//     lock, no shared-state write beyond one refcount bump. Service
-//     counters are atomics. (A deliberate non-use of
-//     std::atomic<shared_ptr>: libstdc++'s is an embedded spinlock whose
-//     GCC 12 load unlocks relaxed — formally racy under TSan — and it costs
-//     three shared RMWs per load where the cache costs one.)
+//     revalidates it with a single atomic version load per publish. The
+//     publish borrows the cached snapshot rather than copying the handle,
+//     and each notification views the published event rather than copying
+//     it, so a publish on a current snapshot takes no lock, performs no
+//     shared read-modify-write beyond the sharded service counters, and
+//     allocates nothing once its thread's scratch buffers are warm. (A
+//     deliberate non-use of std::atomic<shared_ptr>: libstdc++'s is an
+//     embedded spinlock whose GCC 12 load unlocks relaxed — formally racy
+//     under TSan — and it costs three shared RMWs per load.)
 //   * subscribe()/unsubscribe() take the mutation mutex, update the engine,
 //     and bump the snapshot version; the next publish that notices the stale
 //     version rebuilds the snapshot under the mutex and swaps it in
@@ -67,9 +70,15 @@ using DrainHookId = std::uint64_t;
 using DrainHook = std::function<void()>;
 
 /// Delivered to a subscriber when an event matches its profile.
+///
+/// Lifetime contract: the notification and the event it refers to are valid
+/// for the duration of the callback only. `event` views the publisher's
+/// event (no per-delivery copy of its values or schema handle); a callback
+/// that keeps the event past its return must copy it (`Event kept =
+/// n.event;`).
 struct Notification {
   SubscriptionId subscription = 0;
-  Event event;
+  const Event& event;
 };
 
 using NotificationCallback = std::function<void(const Notification&)>;
@@ -266,10 +275,13 @@ class Broker {
     std::vector<std::shared_ptr<const DrainHook>> drain_hooks;
   };
 
-  /// Returns the current snapshot: the thread-local cached handle when its
-  /// version is current (lock-free), else refreshes — rebuilding the
-  /// snapshot if stale — under the mutation mutex.
-  std::shared_ptr<const Snapshot> acquire_snapshot(bool* rebuilt);
+  /// Returns the current snapshot, borrowed from this thread's cache slot:
+  /// the cached handle when its version is current (lock-free), else
+  /// refreshes the slot — rebuilding the snapshot if stale — under the
+  /// mutation mutex. The pointer stays valid until the outermost publish on
+  /// this thread returns: a refresh inside a publish retires the displaced
+  /// handle instead of dropping it (see PublishScope in broker.cpp).
+  const Snapshot* acquire_snapshot(bool* rebuilt);
 
   /// The adaptive loop's step after a lock-free match: feeds `events` to
   /// the engine under mutex_ and, on a drift rebuild, bumps the snapshot

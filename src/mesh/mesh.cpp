@@ -885,6 +885,8 @@ void MeshNetwork::handle_message(Node& node, NodeMsg& message) {
     const SubscriptionId local = node.broker->subscribe(
         sub->profile,
         [callback = std::move(callback), key, node_id](const Notification& n) {
+          // MeshCallback takes the event by reference under the same
+          // for-the-call lifetime, so the borrowed event passes straight on.
           callback(node_id, key, n.event);
         });
     node.local_subs.emplace(key, local);

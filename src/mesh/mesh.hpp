@@ -180,7 +180,8 @@ struct MeshOptions {
 };
 
 /// Delivery callback: subscription `key` at `node` matched `event`.
-/// Runs on the node's worker thread.
+/// Runs on the node's worker thread; `event` is valid for the duration of
+/// the call (copy it to keep it), as for a broker Notification.
 using MeshCallback =
     std::function<void(NodeId node, SubscriptionId key, const Event& event)>;
 

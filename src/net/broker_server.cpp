@@ -481,6 +481,8 @@ void BrokerServer::run_connection(std::shared_ptr<Connection> connection) {
           id = impl.broker->subscribe(
               std::move(sub->profile),
               [connection, client_key](const Notification& n) {
+                // Encodes n.event into the staged frame before returning, so
+                // the borrowed event is never kept past the callback.
                 connection->write_delivery(client_key, n.event);
               });
         } else {

@@ -402,8 +402,9 @@ void RemoteBrokerClient::read_loop() {
         }
         if (callback != nullptr) {
           deliveries_.fetch_add(1, std::memory_order_relaxed);
-          (*callback)(
-              Notification{batch->keys[i], std::move(batch->events[i])});
+          // The notification views the decoded event in place; a
+          // callback that keeps it copies it (Notification's contract).
+          (*callback)(Notification{batch->keys[i], batch->events[i]});
         }
       }
       continue;

@@ -1,7 +1,9 @@
 // Tests for the ENS broker: subscriptions, delivery, counters, statistics.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "ens/broker.hpp"
@@ -45,6 +47,35 @@ TEST_F(BrokerTest, NotificationCarriesTheEvent) {
   });
   broker_.publish("temperature = 42; humidity = 1; radiation = 1");
   EXPECT_EQ(seen_temp.as_int(), 42);
+}
+
+TEST_F(BrokerTest, CallbackCopyOfTheEventOutlivesThePublish) {
+  // A notification views the published event for the duration of the
+  // callback only; a callback that keeps the event copies it, and the copy
+  // stays valid and equal once the published event is gone.
+  std::vector<Event> kept;
+  broker_.subscribe("temperature >= 35",
+                    [&](const Notification& n) { kept.push_back(n.event); });
+  {
+    const Event published = Event::from_pairs(
+        schema_, {{"temperature", 42}, {"humidity", 7}, {"radiation", 3}},
+        11);
+    broker_.publish(published);
+  }
+  // The text overload publishes a temporary that dies before it returns.
+  broker_.publish("temperature = 45; humidity = 8; radiation = 4", 12);
+
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].schema(), schema_);
+  EXPECT_EQ(kept[0].time(), 11);
+  EXPECT_EQ(kept[0].indices(),
+            Event::from_pairs(schema_, {{"temperature", 42},
+                                        {"humidity", 7},
+                                        {"radiation", 3}})
+                .indices());
+  EXPECT_EQ(kept[1].time(), 12);
+  EXPECT_EQ(kept[1].value("temperature").as_int(), 45);
+  EXPECT_EQ(kept[1].value("radiation").as_int(), 4);
 }
 
 TEST_F(BrokerTest, UnsubscribeStopsDelivery) {
@@ -279,6 +310,73 @@ TEST_F(BrokerTest, BatchSurvivesReentrantSubscribeAndPublishMidDrain) {
   EXPECT_EQ(result.notified, 2u);
   EXPECT_EQ(follower_fired, 1);
   EXPECT_EQ(broker_.subscription_count(), 3u);
+}
+
+TEST_F(BrokerTest, BatchSurvivesSlotEvictionByOtherBrokersMidDrain) {
+  // A publish borrows its snapshot from the thread's cache slot, and a
+  // thread caches 8 brokers; a ninth evicts one. Broker ids are sequential,
+  // so of nine brokers built back to back the first and the last share a
+  // slot once the fresh thread's slots are all taken (by the fillers). The
+  // first delivery of broker 0's batch subscribes to and publishes on the
+  // other eight — the last evicts broker 0's slot mid-drain — then
+  // subscribes to and publishes on broker 0, whose rebuild drops its own
+  // reference to the old snapshot. The outer batch still reads that
+  // snapshot: the rest of its deliveries and its drain hook must arrive
+  // exactly once.
+  constexpr std::size_t kSlots = 8;
+  std::vector<std::unique_ptr<Broker>> fillers;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    fillers.push_back(std::make_unique<Broker>(schema_));
+  }
+  std::vector<std::unique_ptr<Broker>> brokers;
+  for (std::size_t i = 0; i <= kSlots; ++i) {
+    brokers.push_back(std::make_unique<Broker>(schema_));
+  }
+  Broker& outer = *brokers[0];
+
+  std::vector<int> inner_fired(brokers.size(), 0);
+  int trigger_fired = 0;
+  int follower_fired = 0;
+  int hooks_run = 0;
+  outer.add_drain_hook([&] { ++hooks_run; });
+  outer.subscribe("temperature >= 35", [&](const Notification&) {
+    if (++trigger_fired > 1) return;
+    for (std::size_t b = 1; b < brokers.size(); ++b) {
+      brokers[b]->subscribe("temperature >= -30",
+                            [&inner_fired, b](const Notification&) {
+                              ++inner_fired[b];
+                            });
+      brokers[b]->publish("temperature = 10; humidity = 1; radiation = 1");
+    }
+    outer.subscribe("humidity <= 100",
+                    [&](const Notification&) { ++inner_fired[0]; });
+    outer.publish("temperature = 10; humidity = 1; radiation = 1");
+  });
+  outer.subscribe("temperature >= 30",
+                  [&](const Notification&) { ++follower_fired; });
+
+  std::vector<Event> events;
+  for (int i = 0; i < 3; ++i) {
+    events.push_back(Event::from_pairs(
+        schema_, {{"temperature", 40 + i}, {"humidity", 0}, {"radiation", 1}},
+        i));
+  }
+  BatchPublishResult result;
+  std::thread publisher([&] {
+    const Event warm = Event::from_pairs(
+        schema_, {{"temperature", 0}, {"humidity", 0}, {"radiation", 1}});
+    for (const auto& filler : fillers) filler->publish(warm);
+    result = outer.publish_batch(events);
+  });
+  publisher.join();
+
+  EXPECT_EQ(result.notified, 6u);
+  EXPECT_EQ(trigger_fired, 3);
+  EXPECT_EQ(follower_fired, 3);
+  EXPECT_EQ(hooks_run, 2);  // the outer batch and the re-entrant publish
+  for (std::size_t b = 0; b < brokers.size(); ++b) {
+    EXPECT_EQ(inner_fired[b], 1) << "broker " << b;
+  }
 }
 
 }  // namespace

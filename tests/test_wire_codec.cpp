@@ -64,7 +64,11 @@ SchemaPtr random_int_schema(Rng& rng) {
   for (std::size_t a = 0; a < attributes; ++a) {
     const std::int64_t lo = rng.range(-40, 10);
     const std::int64_t hi = lo + 1 + static_cast<std::int64_t>(rng.below(120));
-    builder.add_integer("a" + std::to_string(a), lo, hi);
+    // Appended rather than `"a" + std::to_string(a)`: GCC 12 at -O2
+    // reports a false -Wrestrict on that overload (GCC bug 105329).
+    std::string name = "a";
+    name += std::to_string(a);
+    builder.add_integer(name, lo, hi);
   }
   return builder.build();
 }
@@ -152,7 +156,8 @@ TEST(WireCodec, SchemaRoundTripsAllDomainKinds) {
           std::vector<std::string> categories;
           const std::size_t count = 1 + rng.below(5);
           for (std::size_t c = 0; c < count; ++c) {
-            std::string category = "c" + std::to_string(c);
+            std::string category = "c";  // not "c" + ...: GCC bug 105329
+            category += std::to_string(c);
             if (rng.chance(0.5)) category += ", with\\ extras\t\xc3\xa9";
             categories.push_back(std::move(category));
           }
