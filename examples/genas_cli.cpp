@@ -19,7 +19,7 @@
 //   pub <event expression>           publish ("a=1; b=2")
 //   policy <natural|v1|v2|v3> <linear|binary|interpolation|hash> [a1|a2|a3]
 //   tree                             dump the current profile tree
-//   stats                            service counters
+//   stats                            service counters and full tree builds
 //   quit
 //
 // The `mesh` subcommand instead drives the concurrent broker mesh from a
@@ -261,10 +261,15 @@ bool handle(CliState& state, const std::string& line) {
       std::cout << state.broker->tree_dump();
     } else if (cmd == "stats") {
       const ServiceCounters counters = state.broker->counters();
+      // Full tree builds; a restructure that only recosted the live tree
+      // (drift, or a churn that left the profile set as it was) is not one.
+      const obs::StatsSnapshot scrape = state.broker->metrics().snapshot();
       std::cout << "events=" << counters.events_published
                 << " matched=" << counters.events_matched
                 << " notifications=" << counters.notifications
-                << " ops/event=" << counters.ops_per_event() << "\n";
+                << " ops/event=" << counters.ops_per_event()
+                << " tree_builds="
+                << scrape.value("genas_broker_tree_builds_total") << "\n";
     } else {
       std::cout << "error: unknown command '" << cmd << "'\n";
     }

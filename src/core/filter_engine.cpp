@@ -22,17 +22,27 @@ FilterEngine::FilterEngine(SchemaPtr schema, EngineOptions options)
 }
 
 ProfileId FilterEngine::subscribe(Profile profile) {
-  return profiles_.add(std::move(profile));
+  const ProfileId id = profiles_.add(std::move(profile));
+  ++added_live_;
+  return id;
 }
 
 ProfileId FilterEngine::subscribe(std::string_view expression) {
   return subscribe(parse_profile(schema_, expression));
 }
 
-void FilterEngine::unsubscribe(ProfileId id) { profiles_.remove(id); }
+void FilterEngine::unsubscribe(ProfileId id) {
+  profiles_.remove(id);
+  if (id >= built_capacity_) {
+    --added_live_;
+  } else {
+    ++removed_built_;
+  }
+}
 
 void FilterEngine::set_priority(ProfileId id, double weight) {
   profiles_.set_weight(id, weight);
+  weights_changed_ = true;
 }
 
 JointDistribution FilterEngine::effective_distribution() const {
@@ -49,12 +59,42 @@ JointDistribution FilterEngine::effective_distribution() const {
   return JointDistribution::independent(schema_, std::move(marginals));
 }
 
+namespace {
+
+/// True when a policy's tree structure ignores P_e and its costs are the
+/// V1 linear scan's, so a new P_e only needs FlatProfileTree::recost. A2/A3
+/// attribute orders read P_e; V3 mixes it with per-cell profile shares the
+/// flat tree does not keep. Every other policy rebuilds in full.
+bool recostable(const OrderingPolicy& policy) {
+  const bool attribute_order_ignores_pe =
+      !policy.attribute_measure.has_value() ||
+      *policy.attribute_measure == AttributeMeasure::kA1;
+  return attribute_order_ignores_pe &&
+         policy.strategy == SearchStrategy::kLinear &&
+         policy.value_order == ValueOrder::kEventProbability;
+}
+
+}  // namespace
+
 void FilterEngine::rebuild_locked(const JointDistribution& distribution) {
   // Build off to the side, then swap the snapshot pointer in one shot: a
-  // caller holding the previous snapshot keeps matching against it. The
-  // node-form tree is only the compiler's input and dies here.
-  snapshot_ = std::make_shared<const FlatProfileTree>(FlatProfileTree::compile(
-      build_tree(profiles_, options_.policy, distribution)));
+  // caller holding the previous snapshot keeps matching against it.
+  const bool same_set = snapshot_ != nullptr && added_live_ == 0 &&
+                        removed_built_ == 0 && !weights_changed_;
+  if (same_set && recostable(options_.policy)) {
+    snapshot_ = std::make_shared<const FlatProfileTree>(
+        snapshot_->recost(distribution, profiles_.version()));
+  } else {
+    // The node-form tree is only the compiler's input and dies here.
+    snapshot_ = std::make_shared<const FlatProfileTree>(
+        FlatProfileTree::compile(
+            build_tree(profiles_, options_.policy, distribution)));
+    built_capacity_ = profiles_.capacity();
+    added_live_ = 0;
+    removed_built_ = 0;
+    weights_changed_ = false;
+    ++build_count_;
+  }
   ++rebuild_count_;
   if (adaptive_.has_value()) adaptive_->mark_rebuilt(distribution);
 }

@@ -9,13 +9,29 @@
 // brokers build theirs through it, so one rule decides when a tree is
 // stale and which distribution it is built for.
 //
-// Every rebuild builds the node-form tree, compiles it into an immutable
-// FlatProfileTree, and keeps only the flat form. snapshot() hands the
-// current one out as a shared_ptr, so a caller can keep matching against a
-// consistent tree while the engine mutates and rebuilds off to the side —
-// this is what the broker's lock-free publish path is built on. The
-// adaptive loop is a separate observe() step after matching: it feeds the
-// drift estimator and swaps in a fresh snapshot when drift demands it.
+// A rebuild takes the cheapest path that yields exactly the tree a full
+// build would. The tree's structure depends only on the profile set, its
+// weights and the policy; under a V1/linear policy with no attribute
+// measure or A1, the event distribution P_e only moves per-cell costs (the
+// scan order). So:
+//   * a recost (FlatProfileTree::recost: shared structure, fresh costs)
+//     when the policy is V1/linear (no measure or A1) and the profile set
+//     and weights are those of the last full build;
+//   * otherwise a full build: the node-form tree is compiled into an
+//     immutable FlatProfileTree and the node form dropped.
+// Under such a policy a drift restructure, and the refresh after a churn
+// that left the profile set as it was (subscribe, then unsubscribe the
+// same profile), recost. The set is compared in O(1): ids are append-only, so a count of
+// ids added since the build that are still live and a count of the build's
+// ids removed since are both zero iff the set is unchanged. set_priority
+// and set_policy force a full build.
+//
+// snapshot() hands the current tree out as a shared_ptr, so a caller can
+// keep matching against a consistent tree while the engine mutates and
+// rebuilds off to the side — this is what the broker's lock-free publish
+// path is built on. The adaptive loop is a separate observe() step after
+// matching: it feeds the drift estimator and swaps in a fresh snapshot when
+// drift demands it.
 //
 // Thread-safety: FilterEngine itself is single-threaded by design (callers
 // serialize mutations and observe()); but a snapshot, once obtained, is
@@ -105,7 +121,10 @@ class FilterEngine {
   /// form, for the distribution the engine last built it against.
   std::string tree_dump();
 
+  /// Restructures of every kind: full builds and recosts.
   std::uint64_t rebuild_count() const noexcept { return rebuild_count_; }
+  /// Full structural builds only (a subset of rebuild_count()).
+  std::uint64_t build_count() const noexcept { return build_count_; }
 
   /// Adaptive controller, when enabled; null otherwise. Whether it exists
   /// is fixed at construction.
@@ -123,6 +142,13 @@ class FilterEngine {
   std::optional<AdaptiveController> adaptive_;
   std::shared_ptr<const FlatProfileTree> snapshot_;
   std::uint64_t rebuild_count_ = 0;
+  std::uint64_t build_count_ = 0;
+  // The profile set's distance from the last full build's: ids at or past
+  // built_capacity_ were added since; set_priority marks the weights.
+  std::size_t built_capacity_ = 0;
+  std::size_t added_live_ = 0;     ///< ids added since, still live
+  std::size_t removed_built_ = 0;  ///< the build's ids removed since
+  bool weights_changed_ = false;
 };
 
 }  // namespace genas

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -24,25 +25,6 @@ struct Delivery {
   SubscriptionId subscription = 0;
   std::size_t event_index = 0;  // into the published run
 };
-
-/// Thread-local delivery scratch, moved out while in use so re-entrant
-/// publishes from callbacks get their own (fresh) buffer instead of
-/// clobbering the one being drained.
-std::vector<Delivery>& delivery_scratch_slot() {
-  static thread_local std::vector<Delivery> scratch;
-  return scratch;
-}
-
-std::vector<Delivery> take_delivery_scratch() {
-  std::vector<Delivery> out = std::move(delivery_scratch_slot());
-  out.clear();
-  return out;
-}
-
-void return_delivery_scratch(std::vector<Delivery>&& buffer) {
-  buffer.clear();
-  delivery_scratch_slot() = std::move(buffer);
-}
 
 /// Redelivery token of the notification currently being delivered on this
 /// thread (0 = none). The tokened publish paths set it around each callback
@@ -72,11 +54,27 @@ class TokenGuard {
 /// drain still reads. While any publish is draining (depth > 0), a slot
 /// refresh moves the displaced handle onto `retired`; the outermost publish
 /// releases them when it returns, normally or by exception.
+///
+/// The publish at depth d drains from delivery scratch buffer d - 1, so a
+/// re-entrant publish gets its own buffer, warm from earlier publishes at
+/// that depth, instead of the one its caller is draining. A deque, so
+/// growing the stack never moves a buffer an outer publish still holds.
 struct PublishNesting {
   std::uint32_t depth = 0;
   std::vector<std::shared_ptr<const void>> retired;
+  std::deque<std::vector<Delivery>> scratch;
 };
 thread_local PublishNesting publish_nesting;
+
+/// The calling publish's (cleared) delivery scratch; call inside its
+/// PublishScope.
+std::vector<Delivery>& delivery_scratch() {
+  std::deque<std::vector<Delivery>>& stack = publish_nesting.scratch;
+  if (stack.size() < publish_nesting.depth) stack.resize(publish_nesting.depth);
+  std::vector<Delivery>& buffer = stack[publish_nesting.depth - 1];
+  buffer.clear();
+  return buffer;
+}
 
 class PublishScope {
  public:
@@ -113,6 +111,8 @@ Broker::Broker(SchemaPtr schema, EngineOptions options,
   register_metrics();
 }
 
+Broker::~Broker() { alive_->store(false, std::memory_order_release); }
+
 void Broker::register_metrics() {
   obs::Registry& reg = *metrics_;
   const auto latency = obs::default_latency_bounds();
@@ -128,6 +128,12 @@ void Broker::register_metrics() {
                                    "read-side snapshot rebuilds");
   adaptive_rebuilds_ = reg.counter("genas_broker_adaptive_rebuilds_total",
                                    "adaptive-engine tree rebuilds");
+  tree_builds_ = reg.counter(
+      "genas_broker_tree_builds_total",
+      "full structural tree builds (a recost of the live tree is not one)");
+  slot_refreshes_ =
+      reg.counter("genas_broker_snapshot_slot_refreshes_total",
+                  "thread snapshot-slot refreshes under the mutation mutex");
   match_latency_ = reg.histogram("genas_broker_match_latency_ns", latency,
                                  "sampled publish->match latency");
   delivery_latency_ = reg.histogram("genas_broker_delivery_latency_ns",
@@ -475,9 +481,9 @@ const Broker::Snapshot* Broker::acquire_snapshot(bool* rebuilt) {
   // version load; the caller borrows the slot's snapshot. The array is
   // fully associative (linear scan of 8 entries): up to 8 live brokers per
   // thread cache without evicting each other; beyond that, colliding
-  // brokers fall back to the mutex slow path on each publish. A slot of a
-  // destroyed broker pins one stale snapshot until the slot is reused or
-  // the thread exits.
+  // brokers fall back to the mutex slow path on each publish. A broker
+  // without a slot takes an empty one, else one whose broker is destroyed
+  // (its snapshot is released on reuse), and only then the hashed one.
   struct Slot {
     std::uint64_t broker = 0;
     std::shared_ptr<const Snapshot> snapshot;
@@ -491,6 +497,14 @@ const Broker::Snapshot* Broker::acquire_snapshot(bool* rebuilt) {
     }
     if (slot == nullptr && candidate.broker == 0) slot = &candidate;
   }
+  if (slot == nullptr) {
+    for (Slot& candidate : slots) {
+      if (!candidate.snapshot->broker_alive->load(std::memory_order_acquire)) {
+        slot = &candidate;
+        break;
+      }
+    }
+  }
   if (slot == nullptr) slot = &slots[broker_id_ % slots.size()];
 
   // Fast path: the cached snapshot is current — one atomic version load.
@@ -503,6 +517,7 @@ const Broker::Snapshot* Broker::acquire_snapshot(bool* rebuilt) {
   // Slow path: refresh the cache — and rebuild the snapshot if a mutation
   // outdated it — under the mutation mutex.
   const std::scoped_lock lock(mutex_);
+  slot_refreshes_.add(1);
   const std::uint64_t current = version_.load(std::memory_order_relaxed);
   if (snapshot_ == nullptr || snapshot_->version != current) {
     // The rebuild pause is the stop-the-world cost every reader behind this
@@ -510,8 +525,10 @@ const Broker::Snapshot* Broker::acquire_snapshot(bool* rebuilt) {
     const std::uint64_t pause_start = obs::now_ns();
     auto fresh = std::make_shared<Snapshot>();
     fresh->version = current;
+    fresh->broker_alive = alive_;
     const std::uint64_t builds_before = engine_.rebuild_count();
     fresh->tree = engine_.snapshot();
+    count_tree_builds_locked();
     if (rebuilt != nullptr && engine_.rebuild_count() != builds_before) {
       *rebuilt = true;
     }
@@ -544,6 +561,7 @@ bool Broker::observe(std::span<const Event> events) {
   // timed into the same pause histogram as a snapshot rebuild.
   const std::uint64_t pause_start = obs::now_ns();
   if (!engine_.observe(events)) return false;
+  count_tree_builds_locked();
   rebuild_pause_.observe(obs::now_ns() - pause_start);
   adaptive_rebuilds_.add(1);
   version_.fetch_add(1, std::memory_order_release);
@@ -602,7 +620,7 @@ BatchPublishResult Broker::publish_batch_impl(
   // alive until the outermost publish on this thread returns.
   const Snapshot* const snapshot = acquire_snapshot(&result.rebuilt);
   const PublishScope scope;
-  std::vector<Delivery> deliveries = take_delivery_scratch();
+  std::vector<Delivery>& deliveries = delivery_scratch();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlatMatch match = snapshot->tree->match(events[i]);
     result.operations += match.operations;
@@ -639,7 +657,6 @@ BatchPublishResult Broker::publish_batch_impl(
       (*delivery.callback)(notification);
     }
   }
-  return_delivery_scratch(std::move(deliveries));
   for (const auto& hook : snapshot->drain_hooks) (*hook)();
   if (traced) delivery_latency_.observe(obs::now_ns() - trace_start);
   if (engine_.adaptive() != nullptr && observe(events)) result.rebuilt = true;
@@ -669,7 +686,15 @@ ProfileStatistics Broker::profile_statistics() const {
 
 std::string Broker::tree_dump() {
   const std::scoped_lock lock(mutex_);
-  return engine_.tree_dump();
+  std::string dump = engine_.tree_dump();
+  count_tree_builds_locked();
+  return dump;
+}
+
+void Broker::count_tree_builds_locked() {
+  const std::uint64_t builds = engine_.build_count();
+  tree_builds_.add(builds - tree_builds_counted_);
+  tree_builds_counted_ = builds;
 }
 
 }  // namespace genas

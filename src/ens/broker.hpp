@@ -22,9 +22,13 @@
 //     version rebuilds the snapshot under the mutex and swaps it in
 //     atomically, so a burst of mutations costs one rebuild. That rebuild
 //     stalls every publisher: each one sees the stale version and waits on
-//     the mutex until the new snapshot is in place (the tree build alone
-//     takes about 50 ms for 2,000 equality profiles over three attributes,
-//     0.5 s for 10,000, on a 4-vCPU Xeon VM).
+//     the mutex until the new snapshot is in place. What it costs depends
+//     on what changed (FilterEngine picks the path): a changed profile set
+//     pays a full tree build (about 45 ms for 2,000 equality profiles over
+//     three attributes, 0.5 s for 10,000, on a 4-vCPU Xeon VM); under a
+//     V1/linear policy a churn that left the set as it was only recosts
+//     the live tree (a few ms at 2,000 profiles).
+//     genas_broker_tree_builds_total counts the full builds.
 //   * Callbacks are invoked outside the lock, so subscribers may re-enter
 //     the broker (subscribe/unsubscribe/publish) from a callback.
 //   * Consequence of snapshotting: a publish that raced a subscribe may
@@ -35,8 +39,11 @@
 //   * The engine's adaptive loop, when enabled, runs after the lock-free
 //     match: the publish takes the mutation mutex once to observe its
 //     events, and a drift rebuild (inside that observe step) bumps the
-//     snapshot version exactly like a subscription change. During a drift
-//     rebuild other publishers still match and deliver on the current
+//     snapshot version exactly like a subscription change. A drift changes
+//     only P_e, so under V1/linear (no attribute measure or A1) the
+//     rebuild recosts the live tree's cells (a few ms at 2,000 profiles);
+//     every other policy rebuilds in full.
+//     Meanwhile other publishers still match and deliver on the current
 //     snapshot, then block in their own observe step until it ends. The
 //     non-adaptive path takes no lock at all.
 #pragma once
@@ -108,6 +115,9 @@ class Broker {
   /// merge without name collisions.
   explicit Broker(SchemaPtr schema, EngineOptions options = {},
                   std::shared_ptr<obs::Registry> metrics = nullptr);
+  /// Marks the broker dead for the thread snapshot caches (their slots
+  /// become reusable).
+  ~Broker();
 
   /// Registers a profile with its delivery callback.
   SubscriptionId subscribe(Profile profile, NotificationCallback callback);
@@ -273,6 +283,9 @@ class Broker {
     /// Post-drain hooks, in installation order; empty when none are
     /// installed.
     std::vector<std::shared_ptr<const DrainHook>> drain_hooks;
+    /// The owning broker's liveness flag: a thread cache slot holding a
+    /// snapshot of a destroyed broker is free for reuse.
+    std::shared_ptr<const std::atomic<bool>> broker_alive;
   };
 
   /// Returns the current snapshot, borrowed from this thread's cache slot:
@@ -299,6 +312,9 @@ class Broker {
   void composite_ingest(ProfileId profile, Timestamp time);
   /// Registers this broker's metrics in metrics_ (constructor helper).
   void register_metrics();
+  /// Adds the engine's full builds since the last call to tree_builds_
+  /// (mutex_ held).
+  void count_tree_builds_locked();
   /// Refreshes the composite depth/lag gauges (composite_mutex_ held).
   void update_composite_gauges_locked();
   /// Moves composite_pending_ out (composite_mutex_ must be held by `lock`),
@@ -318,6 +334,9 @@ class Broker {
   /// Distinguishes brokers in the thread-local snapshot caches (slots must
   /// never alias across broker instances, even address-reused ones).
   const std::uint64_t broker_id_;
+  /// Cleared by the destructor; shared with every snapshot.
+  const std::shared_ptr<std::atomic<bool>> alive_ =
+      std::make_shared<std::atomic<bool>>(true);
 
   /// Mutation counter; a snapshot built at version v serves reads until the
   /// next mutation bumps it (always bumped under mutex_, read lock-free).
@@ -374,6 +393,10 @@ class Broker {
   obs::Counter operations_;
   obs::Counter snapshot_rebuilds_;
   obs::Counter adaptive_rebuilds_;
+  obs::Counter tree_builds_;
+  /// engine_.build_count() as of the last count_tree_builds_locked().
+  std::uint64_t tree_builds_counted_ = 0;  // guarded by mutex_
+  obs::Counter slot_refreshes_;
   obs::Histogram match_latency_;
   obs::Histogram delivery_latency_;
   obs::Histogram rebuild_pause_;

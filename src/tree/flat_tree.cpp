@@ -13,27 +13,30 @@ FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
   flat.profile_count_ = tree.profile_count();
   flat.source_version_ = tree.source_version();
 
+  auto structure = std::make_shared<Structure>();
+  auto costs = std::make_shared<std::vector<std::uint32_t>>();
+
   const std::vector<ProfileTree::Node>& nodes = tree.nodes();
   std::size_t total_cells = 0;
   for (const ProfileTree::Node& node : nodes) total_cells += node.cells.size();
 
-  flat.nodes_.reserve(nodes.size());
-  flat.upper_.reserve(total_cells);
-  flat.child_.reserve(total_cells);
-  flat.cost_.reserve(total_cells);
+  structure->nodes.reserve(nodes.size());
+  structure->upper.reserve(total_cells);
+  structure->child.reserve(total_cells);
+  costs->reserve(total_cells);
 
   for (const ProfileTree::Node& node : nodes) {
-    GENAS_CHECK(flat.upper_.size() <= UINT32_MAX - node.cells.size(),
+    GENAS_CHECK(structure->upper.size() <= UINT32_MAX - node.cells.size(),
                 "flat tree cell slab exceeds 2^32 cells");
     NodeRef ref;
     ref.attribute = node.attribute;
-    ref.first_cell = static_cast<std::uint32_t>(flat.upper_.size());
+    ref.first_cell = static_cast<std::uint32_t>(structure->upper.size());
     ref.cell_count = static_cast<std::uint32_t>(node.cells.size());
-    flat.nodes_.push_back(ref);
+    structure->nodes.push_back(ref);
     for (std::size_t i = 0; i < node.cells.size(); ++i) {
-      flat.upper_.push_back(node.cells[i].hi);
-      flat.child_.push_back(node.child[i]);
-      flat.cost_.push_back(node.cost[i]);
+      structure->upper.push_back(node.cells[i].hi);
+      structure->child.push_back(node.child[i]);
+      costs->push_back(node.cost[i]);
     }
   }
 
@@ -44,15 +47,63 @@ FlatProfileTree FlatProfileTree::compile(const ProfileTree& tree) {
   }
   GENAS_CHECK(total_postings <= UINT32_MAX,
               "flat tree posting slab exceeds 2^32 entries");
-  flat.leaf_offsets_.reserve(leaves.size() + 1);
-  flat.postings_.reserve(total_postings);
-  flat.leaf_offsets_.push_back(0);
+  std::vector<std::uint32_t>& offsets = structure->leaf_offsets;
+  std::vector<ProfileId>& postings = structure->postings;
+  offsets.reserve(leaves.size() + 1);
+  postings.reserve(total_postings);
+  offsets.push_back(0);
   for (const ProfileTree::Leaf& leaf : leaves) {
-    flat.postings_.insert(flat.postings_.end(), leaf.matched.begin(),
-                          leaf.matched.end());
-    flat.leaf_offsets_.push_back(static_cast<std::uint32_t>(flat.postings_.size()));
+    postings.insert(postings.end(), leaf.matched.begin(), leaf.matched.end());
+    offsets.push_back(static_cast<std::uint32_t>(postings.size()));
   }
+
+  flat.nodes_ = structure->nodes.data();
+  flat.upper_ = structure->upper.data();
+  flat.child_ = structure->child.data();
+  flat.leaf_offsets_ = offsets.data();
+  flat.postings_ = postings.data();
+  flat.cost_ = costs->data();
+  flat.structure_ = std::move(structure);
+  flat.costs_ = std::move(costs);
   return flat;
+}
+
+FlatProfileTree FlatProfileTree::recost(const JointDistribution& distribution,
+                                        std::uint64_t source_version) const {
+  GENAS_REQUIRE(distribution.schema() == schema_, ErrorCode::kInvalidArgument,
+                "event distribution schema differs from tree schema");
+  std::vector<DiscreteDistribution> marginals;
+  marginals.reserve(schema_->attribute_count());
+  for (AttributeId id = 0; id < schema_->attribute_count(); ++id) {
+    marginals.push_back(distribution.marginal(id));
+  }
+
+  auto costs = std::make_shared<std::vector<std::uint32_t>>(cell_count());
+  std::vector<std::uint8_t> is_edge;
+  std::vector<double> keys;
+  LinearScanScratch scratch;
+  for (const NodeRef& node : nodes()) {
+    const DiscreteDistribution& marginal = marginals[node.attribute];
+    const std::size_t k = node.cell_count;
+    is_edge.resize(k);
+    keys.resize(k);
+    DomainIndex lo = schema_->attribute(node.attribute).domain.full().lo;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t cell = node.first_cell + i;
+      keys[i] = marginal.mass(Interval{lo, upper_[cell]});
+      is_edge[i] = child_[cell] != ProfileTree::kMiss ? 1 : 0;
+      lo = upper_[cell] + 1;
+    }
+    plan_linear_costs(is_edge, keys,
+                      std::span(costs->data() + node.first_cell, k), {},
+                      scratch);
+  }
+
+  FlatProfileTree out = *this;
+  out.source_version_ = source_version;
+  out.cost_ = costs->data();
+  out.costs_ = std::move(costs);
+  return out;
 }
 
 FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
@@ -65,7 +116,7 @@ FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
     // Locate the containing cell: binary search by upper bound over the
     // node's contiguous slab span. This is the prototype's O(1) lookup-table
     // access and is not counted as a filter operation.
-    const DomainIndex* upper = upper_.data() + node.first_cell;
+    const DomainIndex* upper = upper_ + node.first_cell;
     const DomainIndex* it = std::lower_bound(upper, upper + node.cell_count, v);
     if (it == upper + node.cell_count) --it;  // defensive: v beyond domain edge
     const auto idx =
@@ -76,19 +127,31 @@ FlatMatch FlatProfileTree::match(const Event& event) const noexcept {
   if (ProfileTree::is_leaf_ref(slot)) {
     const std::size_t leaf = ProfileTree::leaf_index(slot);
     const std::uint32_t begin = leaf_offsets_[leaf];
-    result.matched = postings_.data() + begin;
+    result.matched = postings_ + begin;
     result.matched_count = leaf_offsets_[leaf + 1] - begin;
   }
   return result;
 }
 
 std::size_t FlatProfileTree::arena_bytes() const noexcept {
-  return nodes_.size() * sizeof(NodeRef) +
-         upper_.size() * sizeof(DomainIndex) +
-         child_.size() * sizeof(std::int32_t) +
-         cost_.size() * sizeof(std::uint32_t) +
-         leaf_offsets_.size() * sizeof(std::uint32_t) +
-         postings_.size() * sizeof(ProfileId);
+  const Structure& s = *structure_;
+  return s.nodes.size() * sizeof(NodeRef) +
+         s.upper.size() * sizeof(DomainIndex) +
+         s.child.size() * sizeof(std::int32_t) +
+         costs_->size() * sizeof(std::uint32_t) +
+         s.leaf_offsets.size() * sizeof(std::uint32_t) +
+         s.postings.size() * sizeof(ProfileId);
+}
+
+bool FlatProfileTree::operator==(const FlatProfileTree& other) const {
+  const Structure& a = *structure_;
+  const Structure& b = *other.structure_;
+  return schema_ == other.schema_ && root_ == other.root_ &&
+         profile_count_ == other.profile_count_ &&
+         source_version_ == other.source_version_ && a.nodes == b.nodes &&
+         a.upper == b.upper && a.child == b.child &&
+         a.leaf_offsets == b.leaf_offsets && a.postings == b.postings &&
+         *costs_ == *other.costs_;
 }
 
 }  // namespace genas

@@ -19,6 +19,20 @@ std::string_view to_string(SearchStrategy strategy) noexcept {
 
 namespace {
 
+/// Scan positions over ALL cells into scratch.order: cell indices by key,
+/// descending, with ties in natural interval order (paper: "the order of
+/// values with equal selectivity is arbitrary (such as the natural
+/// order)"). The index tie-break makes std::sort's order stable without
+/// std::stable_sort's buffer allocation.
+void sort_scan_order(std::span<const double> key, LinearScanScratch& scratch) {
+  scratch.order.resize(key.size());
+  std::iota(scratch.order.begin(), scratch.order.end(), 0U);
+  std::sort(scratch.order.begin(), scratch.order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return key[a] > key[b] || (key[a] == key[b] && a < b);
+            });
+}
+
 /// Indices of edge cells in interval order.
 std::vector<std::size_t> edge_indices(const CellLayout& layout) {
   std::vector<std::size_t> edges;
@@ -33,37 +47,9 @@ CellCosts plan_linear(const CellLayout& layout) {
   CellCosts out;
   out.cost.assign(k, 0);
   out.scan_rank.assign(k, 0);
-
-  // Scan positions over ALL cells: sort by key descending, ties by natural
-  // interval order (paper: "the order of values with equal selectivity is
-  // arbitrary (such as the natural order)").
-  std::vector<std::size_t> by_position(k);
-  std::iota(by_position.begin(), by_position.end(), 0);
-  std::stable_sort(by_position.begin(), by_position.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return layout.order_key[a] > layout.order_key[b];
-                   });
-  std::uint32_t edge_count = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (layout.is_edge[i]) ++edge_count;
-  }
-
-  // One pass in scan-position order. Edges get their 1-based rank in the
-  // scan list (which contains only edges); a gap cell at this position obeys
-  // the early-stop rule of Example 5: the edges with smaller positions are
-  // scanned, then one more comparison against the first edge with a larger
-  // position reveals the miss — capped at the full list when every edge
-  // precedes the target.
-  std::uint32_t edges_seen = 0;
-  for (std::size_t p = 0; p < k; ++p) {
-    const std::size_t cell = by_position[p];
-    if (layout.is_edge[cell]) {
-      out.scan_rank[cell] = ++edges_seen;
-      out.cost[cell] = edges_seen;
-    } else {
-      out.cost[cell] = std::min<std::uint32_t>(edge_count, edges_seen + 1);
-    }
-  }
+  LinearScanScratch scratch;
+  plan_linear_costs(layout.is_edge, layout.order_key, out.cost, out.scan_rank,
+                    scratch);
   return out;
 }
 
@@ -154,6 +140,41 @@ CellCosts plan_hash(const CellLayout& layout) {
 }
 
 }  // namespace
+
+void plan_linear_costs(std::span<const std::uint8_t> is_edge,
+                       std::span<const double> order_key,
+                       std::span<std::uint32_t> cost,
+                       std::span<std::uint32_t> scan_rank,
+                       LinearScanScratch& scratch) {
+  const std::size_t k = is_edge.size();
+  GENAS_REQUIRE(order_key.size() == k && cost.size() == k &&
+                    (scan_rank.empty() || scan_rank.size() == k),
+                ErrorCode::kInvalidArgument,
+                "linear plan spans must be equal-sized");
+
+  std::uint32_t edge_count = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (is_edge[i] != 0) ++edge_count;
+  }
+  sort_scan_order(order_key, scratch);
+
+  // One pass in scan-position order. Edges get their 1-based rank in the
+  // scan list (which contains only edges); a gap cell at this position obeys
+  // the early-stop rule of Example 5: the edges with smaller positions are
+  // scanned, then one more comparison against the first edge with a larger
+  // position reveals the miss — capped at the full list when every edge
+  // precedes the target.
+  std::uint32_t edges_seen = 0;
+  for (const std::uint32_t cell : scratch.order) {
+    if (is_edge[cell] != 0) {
+      cost[cell] = ++edges_seen;
+      if (!scan_rank.empty()) scan_rank[cell] = edges_seen;
+    } else {
+      cost[cell] = std::min<std::uint32_t>(edge_count, edges_seen + 1);
+      if (!scan_rank.empty()) scan_rank[cell] = 0;
+    }
+  }
+}
 
 CellCosts plan_costs(const CellLayout& layout, SearchStrategy strategy) {
   const std::size_t k = layout.cells.size();

@@ -15,10 +15,13 @@
 //
 // Because the cost of landing in a cell depends only on the cell, costs are
 // precomputed per cell at tree-build time; matching and the analytical model
-// then share one cost table.
+// then share one cost table. The linear planner is also the one that
+// FlatProfileTree::recost runs when only the event distribution moved, so
+// a recost charges exactly what a fresh build would.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -39,7 +42,7 @@ std::string_view to_string(SearchStrategy strategy) noexcept;
 /// Input to cost planning: the node's cells in interval order.
 struct CellLayout {
   std::vector<Interval> cells;  ///< partition of the domain, sorted
-  std::vector<bool> is_edge;    ///< cell leads to a child (vs. miss gap)
+  std::vector<std::uint8_t> is_edge;  ///< 1: cell leads to a child, 0: gap
   /// Scan-priority key per cell; higher keys are scanned earlier. Produced
   /// by the value-ordering measure (V1–V3 / natural). Ties break toward the
   /// natural (interval) order.
@@ -58,5 +61,23 @@ struct CellCosts {
 /// Computes the cost table for a node. `layout` vectors must be equal-sized
 /// and the cells must partition the node's domain.
 CellCosts plan_costs(const CellLayout& layout, SearchStrategy strategy);
+
+/// Caller-owned scratch of plan_linear_costs. Reused across nodes, it
+/// makes a planning pass over a whole tree allocation-free once warm.
+struct LinearScanScratch {
+  std::vector<std::uint32_t> order;  ///< cell indices in scan order
+};
+
+/// The linear strategy's planner over one node's k cells, shared by
+/// plan_costs and FlatProfileTree::recost. `is_edge`, `order_key` and
+/// `cost` hold k entries; `scan_rank` holds k, or none when the caller
+/// does not want ranks. The cells' partition of the domain is the caller's
+/// invariant (plan_costs checks it; a compiled tree holds it by
+/// construction), so only the sizes are checked here.
+void plan_linear_costs(std::span<const std::uint8_t> is_edge,
+                       std::span<const double> order_key,
+                       std::span<std::uint32_t> cost,
+                       std::span<std::uint32_t> scan_rank,
+                       LinearScanScratch& scratch);
 
 }  // namespace genas

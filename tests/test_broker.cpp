@@ -379,5 +379,89 @@ TEST_F(BrokerTest, BatchSurvivesSlotEvictionByOtherBrokersMidDrain) {
   }
 }
 
+TEST_F(BrokerTest, DeadBrokersFreeTheirThreadSnapshotSlots) {
+  // A thread caches 8 brokers' snapshots. After 8 brokers that published
+  // on it are destroyed, two live brokers whose ids share a hashed slot
+  // (ids are sequential: the first and the ninth of nine built back to
+  // back) must each get a freed slot instead of evicting each other on
+  // every publish, which would take the mutation mutex every time.
+  constexpr std::size_t kSlots = 8;
+  std::vector<std::unique_ptr<Broker>> built;
+  for (std::size_t i = 0; i <= kSlots + 1; ++i) {
+    built.push_back(std::make_unique<Broker>(schema_));
+  }
+  std::unique_ptr<Broker> first = std::move(built[0]);
+  std::unique_ptr<Broker> ninth = std::move(built[kSlots]);
+  std::vector<std::unique_ptr<Broker>> doomed;
+  for (auto& broker : built) {
+    if (broker != nullptr) doomed.push_back(std::move(broker));
+  }
+  ASSERT_EQ(doomed.size(), kSlots);
+
+  int fired = 0;
+  for (Broker* live : {first.get(), ninth.get()}) {
+    live->subscribe("temperature >= 35", [&](const Notification&) { ++fired; });
+  }
+  const Event hot = Event::from_pairs(
+      schema_, {{"temperature", 40}, {"humidity", 0}, {"radiation", 1}});
+  constexpr int kRounds = 500;
+  std::thread publisher([&] {
+    for (const auto& broker : doomed) broker->publish(hot);
+    doomed.clear();  // every slot of this thread now holds a dead broker
+    for (int i = 0; i < kRounds; ++i) {
+      first->publish(hot);
+      ninth->publish(hot);
+    }
+  });
+  publisher.join();
+
+  EXPECT_EQ(fired, 2 * kRounds);
+  const auto refreshes = [](const Broker& broker) {
+    return broker.metrics().snapshot().value(
+        "genas_broker_snapshot_slot_refreshes_total");
+  };
+  EXPECT_LE(refreshes(*first) + refreshes(*ninth), 2);
+}
+
+TEST_F(BrokerTest, TreeBuildsCountOnlyFullBuilds) {
+  EngineOptions options;
+  options.policy.value_order = ValueOrder::kEventProbability;
+  AdaptiveOptions adaptive;
+  adaptive.min_observations = 100;
+  adaptive.rebuild_cooldown = 100;
+  adaptive.decay = 0.99;
+  options.adaptive = adaptive;
+  Broker broker(schema_, options);
+  broker.subscribe("temperature >= 35", [](const Notification&) {});
+  const auto scrape = [&](const char* name) {
+    return broker.metrics().snapshot().value(name);
+  };
+  const Event hot = Event::from_pairs(
+      schema_, {{"temperature", 40}, {"humidity", 0}, {"radiation", 1}});
+  broker.publish(hot);
+  EXPECT_EQ(scrape("genas_broker_tree_builds_total"), 1);
+
+  // A churn that leaves the profile set as it was recosts the live tree.
+  broker.unsubscribe(broker.subscribe("humidity >= 90",
+                                      [](const Notification&) {}));
+  EXPECT_TRUE(broker.publish(hot).rebuilt);
+  EXPECT_EQ(scrape("genas_broker_snapshot_rebuilds_total"), 2);
+  EXPECT_EQ(scrape("genas_broker_tree_builds_total"), 1);
+
+  // Drift restructures recost too; a real subscription change builds.
+  for (int block = 0; block < 6; ++block) {
+    for (const Event& event : testutil::event_stream(
+             testutil::peak_joint(schema_, block % 2 == 0), 200,
+             static_cast<std::uint64_t>(block) + 1)) {
+      broker.publish(event);
+    }
+  }
+  EXPECT_GT(scrape("genas_broker_adaptive_rebuilds_total"), 0);
+  EXPECT_EQ(scrape("genas_broker_tree_builds_total"), 1);
+  broker.subscribe("humidity >= 90", [](const Notification&) {});
+  broker.publish(hot);
+  EXPECT_EQ(scrape("genas_broker_tree_builds_total"), 2);
+}
+
 }  // namespace
 }  // namespace genas

@@ -1,8 +1,10 @@
 // Allocation oracle for the broker's fan-out: once a thread's snapshot slot
 // and delivery scratch are warm, an untokened publish or publish_batch that
-// delivers notifications performs no heap allocation. A notification views
-// the published event instead of copying it, and a publish borrows its
-// thread's cached snapshot instead of copying the handle.
+// delivers notifications performs no heap allocation, also when a callback
+// publishes on another broker. A notification views the published event
+// instead of copying it, a publish borrows its thread's cached snapshot
+// instead of copying the handle, and each publish nesting depth has its own
+// delivery scratch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,6 +129,26 @@ TEST_F(BrokerAllocs, TracedPublishDeliversWithoutAllocating) {
   EXPECT_EQ(allocations, 0u)
       << static_cast<double>(allocations) / static_cast<double>(deliveries)
       << " allocations per delivery over " << deliveries << " deliveries";
+}
+
+TEST_F(BrokerAllocs, NestedPublishDeliversWithoutAllocating) {
+  // broker_'s deliveries each publish the event on a second broker, whose
+  // own delivery runs one nesting level down.
+  Broker inner(schema_);
+  std::uint64_t inner_delivered = 0;
+  inner.subscribe("temperature >= 35",
+                  [&](const Notification&) { ++inner_delivered; });
+  broker_.subscribe("radiation >= 1",
+                    [&](const Notification& n) { inner.publish(n.event); });
+  const Event& hot = batch_.front();
+  std::uint64_t deliveries = 0;
+  const std::uint64_t allocations =
+      allocations_of([&] { broker_.publish(hot); }, deliveries);
+  ASSERT_EQ(deliveries, 2u * kRuns);
+  ASSERT_EQ(inner_delivered, kRuns + 1u);  // plus the warm-up
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) / kRuns
+      << " allocations per outer publish over " << kRuns << " publishes";
 }
 
 }  // namespace

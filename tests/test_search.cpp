@@ -3,7 +3,11 @@
 // event-order and binary costs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "tree/search.hpp"
 
 namespace genas {
@@ -118,6 +122,44 @@ TEST(SearchInterpolation, FindsEveryEdgeOnUniformSpacing) {
   }
   // Uniformly spaced keys: interpolation lands on target nearly directly.
   EXPECT_LE(costs.cost[16], 2u);
+}
+
+TEST(SearchLinear, WideNodesWithTiesMatchAStableSortReference) {
+  // Few distinct keys force ties, which must keep natural (interval) order
+  // at every width, with one scratch reused across nodes.
+  Rng rng(99);
+  LinearScanScratch scratch;  // shared across nodes, as a recost does
+  for (const std::size_t k : {1u, 2u, 15u, 16u, 17u, 33u, 64u, 100u, 257u}) {
+    for (const std::uint64_t distinct : {1u, 3u, 1000u}) {
+      std::vector<std::uint8_t> is_edge(k);
+      std::vector<double> keys(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        is_edge[i] = rng.chance(0.7) ? 1 : 0;
+        keys[i] = static_cast<double>(rng.below(distinct)) / 7.0;
+      }
+      std::vector<std::size_t> order(k);
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return keys[a] > keys[b];
+                       });
+      const auto edges = static_cast<std::uint32_t>(
+          std::count(is_edge.begin(), is_edge.end(), 1));
+      std::vector<std::uint32_t> want(k);
+      std::uint32_t seen = 0;
+      for (const std::size_t cell : order) {
+        want[cell] = is_edge[cell] != 0 ? ++seen : std::min(edges, seen + 1);
+      }
+
+      std::vector<std::uint32_t> cost(k);
+      std::vector<std::uint32_t> rank(k);
+      plan_linear_costs(is_edge, keys, cost, rank, scratch);
+      EXPECT_EQ(cost, want) << "k=" << k << " distinct=" << distinct;
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(rank[i], is_edge[i] != 0 ? want[i] : 0u);
+      }
+    }
+  }
 }
 
 TEST(SearchHash, EveryCellCostsOne) {
